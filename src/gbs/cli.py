@@ -113,7 +113,10 @@ def _dispatch(args) -> int:
         return 0 if report.passed else 3
 
     if args.command == "normest":
-        m_values = [int(s) for s in args.m.split(",") if s]
+        try:
+            m_values = [int(s) for s in args.m.split(",") if s]
+        except ValueError:
+            raise opsim.OpsimError(f"bad m list {args.m!r}") from None
         if not m_values or any(m <= 0 for m in m_values):
             raise opsim.OpsimError(f"bad m list {args.m!r}")
         e = graph.edge_id(args.edge)

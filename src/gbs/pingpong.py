@@ -93,11 +93,14 @@ def averaging_elements(data: Ce2Data, count: int):
     return out
 
 
-def _prefix_matches_Sj(items, edge: int, j: int) -> bool:
+def _sign_prefix_verdict(items, edge: int, j: int, stop: int):
+    """Read the first ``stop`` edge letters of ``items`` against the S'_j
+    sign pattern along ``edge``: True once all 2j+2 signs match, False at
+    the first mismatch, None when the letters run out first."""
     pair = edge // 2
     need = 2 * j + 2
     k = 0
-    for i in range(1, len(items), 2):
+    for i in range(1, 2 * stop, 2):
         x = items[i]
         if x // 2 != pair:
             continue
@@ -111,7 +114,11 @@ def _prefix_matches_Sj(items, edge: int, j: int) -> bool:
         k += 1
         if k == need:
             return True
-    return False
+    return None
+
+
+def _prefix_matches_Sj(items, edge: int, j: int) -> bool:
+    return _sign_prefix_verdict(items, edge, j, len(items) // 2) is True
 
 
 def in_Sj(f: GroupElement, data: Ce2Data, j: int) -> bool:
@@ -129,6 +136,8 @@ class PingPongReport:
     f_count: int
     excluded_g: int
     j_count: int
+    seam_decided: int          # pairs settled by the stable prefix of z g z^-1
+    product_decided: int       # pairs settled by computing the product
 
     def to_json_dict(self):
         return {
@@ -147,7 +156,20 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     with at most word_bound edge letters, minus S'_j.  On graphs with tree
     edges the letter bounds cap the total edge length (the y-length is then
     automatically within the bound), which keeps the family finite.
+
+    Most pairs are decided without a product.  By Britton's lemma
+    (Lyndon-Schupp, Combinatorial Group Theory, IV.2) the product of two
+    canonical words cancels only at the seam, and each pinch consumes one
+    edge letter of the right factor.  So if every f in the pool has at most
+    fmax edge letters, the first edge_len(v) - fmax edge letters of
+    v = z_j g z_j^-1, with the exponents before them, appear unchanged in
+    every product v f.  When that stable prefix already carries the whole
+    S'_j sign pattern, every pair (g, f) passes and is counted as
+    seam-decided; otherwise the pairs are decided by products, which also
+    yields a real counterexample when a sign mismatches inside the prefix.
     """
+    if word_bound < 0 or exponent_bound < 0:
+        raise PingPongError("word and exponent bounds must be nonnegative")
     group = data.group
     alpha = group.graph.alpha
     tvert = group.graph.terminus[data.edge]
@@ -164,17 +186,23 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
                                                 exponent_bound)]
 
     pairs = 0
+    seam = 0
     counterexample = None
     for j in range(1, len(data.z) + 1):
         zj = list(data.z[j - 1].items)
-        zj_inv = wordcore.sweep_items(wordcore.inv_items(zj), alpha)
+        zj_inv = list(data.z[j - 1].inverse().items)
         f_pool = [f for f in fs if not _prefix_matches_Sj(f, data.edge, j)]
+        fmax = max((len(f) // 2 for f in f_pool), default=0)
         for g in gs:
-            v = wordcore.mul_items(wordcore.mul_items(list(zj), g, alpha),
-                                   list(zj_inv), alpha)
+            v = wordcore.mul_items(wordcore.mul_items(zj, g, alpha),
+                                   zj_inv, alpha)
+            if _sign_prefix_verdict(v, data.edge, j, len(v) // 2 - fmax):
+                pairs += len(f_pool)
+                seam += len(f_pool)
+                continue
             for f in f_pool:
                 pairs += 1
-                u = wordcore.mul_items(list(v), f, alpha)
+                u = wordcore.mul_items(v, f, alpha)
                 if not _prefix_matches_Sj(u, data.edge, j):
                     counterexample = {
                         "j": j,
@@ -196,6 +224,8 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
         f_count=len(fs),
         excluded_g=excluded,
         j_count=len(data.z),
+        seam_decided=seam,
+        product_decided=pairs - seam,
     )
 
 

@@ -93,6 +93,14 @@ def test_exit_codes(tmp_path):
     assert run("check", str(bad)).returncode == 2
     r = run("reduce", BS23, "a[P)^")
     assert r.returncode == 2
+    for word_bound, exp_bound in (("1", "-1"), ("-1", "2")):
+        r = run("pingpong", BS23, "--edge", "y", "-L", "1",
+                "--word-bound", word_bound, "--exp-bound", exp_bound)
+        assert r.returncode == 2, r.stdout
+        assert "nonnegative" in r.stderr
+    r = run("normest", BS23, "--edge", "y", "--radius", "2", "--m", "4,x")
+    assert r.returncode == 2
+    assert "bad m list" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_pingpong_counterexample_exits_3(monkeypatch, capsys):

@@ -1,11 +1,13 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
-from gbs import pingpong
+from gbs import pingpong, wordcore
 from gbs.graphs import parse_graph
 from gbs.indices import modular_value
-from gbs.words import GbsGroup
+from gbs.words import GbsGroup, GroupElement, closed_words, random_closed_word
 
 from conftest import bs_text
 
@@ -113,13 +115,102 @@ def test_verify_negative_control(ce2_bs23):
     assert not rep.passed
     assert rep.counterexample is not None
     assert set(rep.counterexample) == {"j", "g", "f", "product"}
+    assert rep.product_decided >= 1
+
+
+def _brute_force(data, word_bound, exponent_bound):
+    """Reference verdict of verify_pingpong: one product and one S'_j test
+    for every pair, in the verifier's order.  Also checks, for each (j, g)
+    visited, that the stable-prefix verdict agrees with all of its pairs.
+    Returns ((pairs_checked, passed, counterexample), verdicts seen)."""
+    group = data.group
+    alpha = group.graph.alpha
+    tvert = group.graph.terminus[data.edge]
+
+    def el(items):
+        return GroupElement(group, items, _canonical=True)
+
+    gs = [g for g in closed_words(group, data.L, exponent_bound)
+          if group.cyclic_membership(el(g), tvert, data.N) is None]
+    fs = list(closed_words(group, word_bound, exponent_bound))
+    pairs = 0
+    verdicts = set()
+    for j, z in enumerate(data.z, 1):
+        pool = [f for f in fs if not pingpong.in_Sj(el(f), data, j)]
+        fmax = max((len(f) // 2 for f in pool), default=0)
+        for g in gs:
+            v = list((z * el(g) * z.inverse()).items)
+            products = [el(wordcore.mul_items(v, list(f), alpha))
+                        for f in pool]
+            ok = [pingpong.in_Sj(u, data, j) for u in products]
+            verdict = pingpong._sign_prefix_verdict(
+                v, data.edge, j, len(v) // 2 - fmax)
+            verdicts.add(verdict)
+            if verdict is True:
+                assert all(ok)
+            elif verdict is False:
+                assert not any(ok)
+            if not all(ok):
+                i = ok.index(False)
+                return (pairs + i + 1, False, {
+                    "j": j, "g": str(el(g)), "f": str(el(pool[i])),
+                    "product": str(products[i])}), verdicts
+            pairs += len(pool)
+    return (pairs, True, None), verdicts
+
+
+def _random_product(data, rng, length):
+    """Seeded product of the generators a, b, t and their inverses."""
+    out = data.group.identity()
+    for _ in range(length):
+        x = rng.choice((data.a, data.b, data.t))
+        out = out * (x if rng.random() < 0.5 else x.inverse())
+    return out
+
+
+# On bs23 seeds 49 and 27 make the perturbed conjugator fail late (at j = 2
+# and j = 8), after thousands of seam-decided pairs.  On gbs2
+# random_closed_word never leaves the base vertex and yields only vertex
+# powers, so the all-random conjugators come from _random_product.
+@pytest.mark.parametrize("name, big_l, word_bound, exp_bound, seed", [
+    ("bs23", 2, 1, 2, 49),
+    ("bs23", 1, 2, 2, 27),
+    ("gbs2", 2, 1, 1, 0),
+    ("gbs2", 1, 2, 1, 0),
+])
+def test_verify_matches_brute_force(request, name, big_l, word_bound,
+                                    exp_bound, seed):
+    group = request.getfixturevalue(name)
+    data = pingpong.build_ce2(group, "y", big_l)
+    rng = random.Random(seed)
+    k = rng.randrange(len(data.z))
+    perturbed = list(data.z)
+    perturbed[k] = perturbed[k] * random_closed_word(group, rng, 8, 3)
+    cases = [
+        data,
+        pingpong.make_negative_control(data),
+        replace(data, z=tuple(perturbed)),
+        replace(data, z=tuple(_random_product(data, rng, 16)
+                              for _ in data.z)),
+    ]
+    verdicts = set()
+    outcomes = []
+    for case in cases:
+        rep = pingpong.verify_pingpong(case, word_bound, exp_bound)
+        expected, seen = _brute_force(case, word_bound, exp_bound)
+        assert (rep.pairs_checked, rep.passed, rep.counterexample) == expected
+        assert rep.seam_decided + rep.product_decided == rep.pairs_checked
+        verdicts |= seen
+        outcomes.append(rep.passed)
+    assert outcomes[:2] == [True, False]
+    assert verdicts == {True, False, None}
 
 
 def test_verify_gbs2_at_spec_bounds(gbs2):
     data = pingpong.build_ce2(gbs2, "y", 2)
     rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
     assert rep.passed
-    assert rep.pairs_checked >= 10 ** 4
+    assert rep.pairs_checked == 2552004
 
 
 def test_choose_cd_examples(bs23):
