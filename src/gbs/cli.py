@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
-3 verification failure (a ping-pong counterexample or an averaging norm
-estimate above its bound).  Verdicts that merely report "conditions not
-met" are data and exit 0.
+3 verification failure (a ping-pong counterexample, an averaging norm
+estimate above its bound, or a power iteration that did not converge, since
+a norm that was not established is never a pass).  Verdicts that merely
+report "conditions not met" are data and exit 0.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
             opsim.OpsimError) as exc:
         print(f"gbs: {exc}", file=sys.stderr)
         return 2
+    except opsim.NormConvergenceError as exc:
+        print(f"gbs: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

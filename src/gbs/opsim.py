@@ -134,14 +134,21 @@ def average_conjugates(x: FormalElement, conjugators) -> FormalElement:
 
 
 class Ball:
-    """Deterministic BFS closure of products of few generators."""
+    """Deterministic BFS closure of products of few generators.
 
-    __slots__ = ("group", "elements", "index", "radius", "generators")
+    ``by_length`` maps each edge length to the ball indices of that length,
+    in index order."""
+
+    __slots__ = ("group", "elements", "index", "by_length", "radius",
+                 "generators")
 
     def __init__(self, group, elements, radius, generators):
         self.group = group
         self.elements = elements
         self.index = {g.items: i for i, g in enumerate(elements)}
+        self.by_length = {}
+        for i, g in enumerate(elements):
+            self.by_length.setdefault(g.edge_length, []).append(i)
         self.radius = radius
         self.generators = generators
 
@@ -200,28 +207,31 @@ class BallOperator:
 
 def lambda_operator(g: GroupElement, ball: Ball) -> BallOperator:
     """Partial permutation x -> g x on the ball."""
-    rows, cols = [], []
-    for j, x in enumerate(ball.elements):
-        i = ball.position(g * x)
-        if i is not None:
-            rows.append(i)
-            cols.append(j)
-    n = len(ball)
-    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return BallOperator(ball, mat)
+    return operator_of(FormalElement.lam(g), ball)
 
 
 def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
-    """Sum of coefficient-weighted translation operators."""
+    """Sum of coefficient-weighted translation operators.
+
+    A product of canonical words cancels only at the seam (Britton's lemma),
+    so edge_len(g x) >= |edge_len(g) - edge_len(x)|.  When that gap exceeds
+    the largest edge length in the ball, g x has no position in the ball, and
+    the pair is skipped without forming the product.
+    """
+    top = max(ball.by_length, default=0)
     rows, cols, vals = [], [], []
     for g, c in x.terms.items():
         fc = float(c)
-        for j, el in enumerate(ball.elements):
-            i = ball.position(g * el)
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(fc)
+        glen = g.edge_length
+        for length, js in ball.by_length.items():
+            if abs(glen - length) > top:
+                continue
+            for j in js:
+                i = ball.position(g * ball.elements[j])
+                if i is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(fc)
     n = len(ball)
     mat = csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
     return BallOperator(ball, mat)
@@ -234,7 +244,7 @@ def _power_iteration(mat: csr_matrix, tol: float, max_iter: int, seed: int):
     bound at every step.  The stop rule extrapolates the geometric tail of
     the increments so the returned value is within the relative tolerance.
     """
-    n = mat.shape[0]
+    n = mat.shape[1]
     if n == 0 or mat.nnz == 0:
         return 0.0, 0
     rng = np.random.default_rng(seed)
@@ -271,10 +281,14 @@ def _power_iteration(mat: csr_matrix, tol: float, max_iter: int, seed: int):
     raise NormConvergenceError(sigma_prev, max_iter)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise OpsimError(f"tol must be finite and positive, got {tol!r}")
+
+
 def norm_estimate(op: BallOperator, tol: float = 1e-6,
                   max_iter: int = 100000, seed: int = 42) -> float:
-    if tol <= 0:
-        raise OpsimError("tol must be positive")
+    _check_tol(tol)
     value, _ = _power_iteration(op.matrix, tol, max_iter, seed)
     return value
 
@@ -316,6 +330,7 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
     """Averaging-norm decay: for each m, conjugate f by z_1..z_m and compare
     the truncated norm of the average against (2/sqrt(m)) ||f||_est."""
     group = data.group
+    _check_tol(tol)
     if not f.is_selfadjoint():
         raise OpsimError("f must be self-adjoint")
     tvert = group.graph.terminus[data.edge]

@@ -101,6 +101,24 @@ def test_exit_codes(tmp_path):
     r = run("normest", BS23, "--edge", "y", "--radius", "2", "--m", "4,x")
     assert r.returncode == 2
     assert "bad m list" in r.stderr and "Traceback" not in r.stderr
+    for tol in ("0", "-1", "nan"):
+        r = run("normest", BS23, "--edge", "y", "--radius", "2", "--tol", tol)
+        assert r.returncode == 2, r.stdout
+        assert "tol must be finite and positive" in r.stderr
+
+
+def test_normest_nonconvergence_exits_3(monkeypatch, capsys):
+    from gbs import cli, opsim
+
+    def stalled(mat, tol, max_iter, seed):
+        raise opsim.NormConvergenceError(0.5, max_iter)
+
+    monkeypatch.setattr(opsim, "_power_iteration", stalled)
+    code = cli.main(["normest", BS23, "--edge", "y", "--radius", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("gbs: no convergence after 100000 iterations")
 
 
 def test_pingpong_counterexample_exits_3(monkeypatch, capsys):

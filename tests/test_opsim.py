@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gbs import opsim, pingpong
 from gbs.words import random_closed_word
@@ -156,6 +157,74 @@ def test_average_conjugates(bs23):
     assert opsim.restrict_expectation(avg, "P", data.N).terms == {}
 
 
+def _brute_force_operator(x, ball):
+    """One product and one lookup per (term, ball element) pair."""
+    rows, cols, vals = [], [], []
+    for g, c in x.terms.items():
+        for j, el in enumerate(ball.elements):
+            i = ball.position(g * el)
+            if i is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(c))
+    n = len(ball)
+    return csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
+
+
+def _supports(group, ball, edge, rng):
+    """Random elements of a larger ball, the normest averaged elements
+    (when the fixture has a non-tree edge), and boundary terms y x^-1 with
+    edge_len(y) at the ball's top edge length."""
+    wide = opsim.enumerate_ball(group, None, ball.radius + 2).elements
+    yield opsim.FormalElement(
+        {rng.choice(wide) * rng.choice(wide): Fraction(rng.randint(1, 5), 3)
+         for _ in range(40)})
+    if edge is not None:
+        t = group.edge_generator(edge)
+        a = group.vertex_generator(
+            group.graph.terminus[group.graph.edge_id(edge)])
+        g = t * a * t.inverse()
+        f = lam(g) + lam(g.inverse())
+        data = pingpong.build_ce2(group, edge, 2)
+        for m in (4, 9):
+            yield opsim.average_conjugates(
+                f, pingpong.averaging_elements(data, m))
+    top = max(ball.by_length)
+    tops = [ball.elements[i] for i in ball.by_length[top]]
+    inner = [el for el in ball.elements if el.edge_length >= 1]
+    yield opsim.FormalElement(
+        {rng.choice(tops) * rng.choice(inner).inverse(): -1.5
+         for _ in range(40)})
+
+
+@pytest.mark.parametrize("name, radius, edge", [
+    ("bs23", 4, "y"), ("gbs2", 3, "y"), ("chain3", 3, None),
+    ("two_vertex", 4, None)])
+def test_operator_of_matches_brute_force(request, name, radius, edge):
+    group = request.getfixturevalue(name)
+    ball = opsim.enumerate_ball(group, None, radius)
+    top = max(ball.by_length)
+    assert top == max(el.edge_length for el in ball.elements)
+    rng = random.Random(radius)
+    skipped = visited = at_bound = 0
+    for x in _supports(group, ball, edge, rng):
+        got = opsim.operator_of(x, ball).matrix
+        want = _brute_force_operator(x, ball)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        for g in x.terms:
+            for el in ball.elements:
+                gap = abs(g.edge_length - el.edge_length)
+                if gap > top:
+                    skipped += 1
+                else:
+                    visited += 1
+                    if gap == top and ball.position(g * el) is not None:
+                        at_bound += 1
+    assert skipped and visited and at_bound
+
+
 def test_norm_identity_and_isometry(bs23):
     ball = opsim.enumerate_ball(bs23, None, 2)
     ident = opsim.lambda_operator(bs23.identity(), ball)
@@ -236,6 +305,30 @@ def test_norm_nonconvergence_reported(bs23):
     with pytest.raises(opsim.NormConvergenceError) as err:
         opsim.norm_estimate(op, tol=1e-12, max_iter=3)
     assert 0 < err.value.last_estimate <= 1.0
+
+
+def test_power_iteration_rectangular():
+    rng = np.random.default_rng(11)
+    for shape in ((9, 4), (4, 9), (1, 6)):
+        dense = rng.standard_normal(shape)
+        est, iters = opsim._power_iteration(csr_matrix(dense), 1e-12,
+                                            10 ** 5, 42)
+        assert iters > 0
+        assert est == pytest.approx(np.linalg.norm(dense, 2), rel=1e-9)
+
+
+def test_tol_must_be_finite_and_positive(bs23):
+    ball = opsim.enumerate_ball(bs23, None, 1)
+    op = opsim.lambda_operator(bs23.identity(), ball)
+    t = bs23.edge_generator("y")
+    g = t * bs23.vertex_generator("P") * t.inverse()
+    f = lam(g) + lam(g.inverse())
+    data = pingpong.build_ce2(bs23, "y", 2)
+    for tol in (0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(opsim.OpsimError, match="finite and positive"):
+            opsim.norm_estimate(op, tol=tol)
+        with pytest.raises(opsim.OpsimError, match="finite and positive"):
+            opsim.powers_decay_experiment(data, f, [4], 1, tol=tol)
 
 
 def test_decay_preconditions(bs23):
