@@ -197,6 +197,20 @@ def compute_spanning_tree(graph: GbsGraph, base: int) -> frozenset:
     return frozenset(tree)
 
 
+def tree_paths(graph: GbsGraph, spanning: SpanningData, source: int):
+    """The unique edge path source -> v inside the spanning tree, for every
+    vertex v the tree reaches."""
+    paths = {source: []}
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for e in spanning.tree_edges:
+            if graph.origin[e] == v and graph.terminus[e] not in paths:
+                paths[graph.terminus[e]] = paths[v] + [e]
+                stack.append(graph.terminus[e])
+    return paths
+
+
 def _validate_tree(graph: GbsGraph, tree: set, line=None):
     pairs = {e // 2 for e in tree}
     if len(pairs) != graph.n_vertices - 1:

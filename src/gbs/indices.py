@@ -17,9 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from gbs import wordcore
-from gbs.graphs import GbsGraph, GraphError, SpanningData
-from gbs.words import GbsGroup, GroupElement
+from gbs.graphs import GbsGraph, GraphError, SpanningData, tree_paths
+from gbs.words import GroupElement
+
+
+def _index_along(alpha, edges) -> int:
+    """The k_c gcd recursion k <- k*|alpha(e)| / gcd(k, |alpha(bar e)|) over
+    the edge sequence, from k = 1."""
+    k = 1
+    for e in edges:
+        k = k * abs(alpha[e]) // gcd(k, abs(alpha[e ^ 1]))
+    return k
 
 
 def geodesic_k(graph: GbsGraph, spanning: SpanningData, path) -> int:
@@ -27,7 +35,6 @@ def geodesic_k(graph: GbsGraph, spanning: SpanningData, path) -> int:
 
     In the group, [G_{t(end)} : G_{t(end)} cap G_{o(start)}] equals k_c.
     """
-    k = 1
     prev_end = None
     for e in path:
         if e not in spanning.tree_edges:
@@ -35,36 +42,45 @@ def geodesic_k(graph: GbsGraph, spanning: SpanningData, path) -> int:
         if prev_end is not None and graph.origin[e] != prev_end:
             raise GraphError("edges do not form a path")
         prev_end = graph.terminus[e]
-        m_i = abs(graph.alpha[e])
-        n_i = abs(graph.alpha[e ^ 1])
-        k = k * m_i // gcd(k, n_i)
-    return k
+    return _index_along(graph.alpha, path)
+
+
+def _edge_ks(graph: GbsGraph, spanning: SpanningData, e: int):
+    """(k_c, k_cbar) for the tree path c from o(e) to t(e) and its reverse."""
+    c = tree_paths(graph, spanning, graph.origin[e])[graph.terminus[e]]
+    cbar = [x ^ 1 for x in reversed(c)]
+    return _index_along(graph.alpha, c), _index_along(graph.alpha, cbar)
+
+
+def _k_prime(graph: GbsGraph, e: int, kc: int, kcbar: int):
+    m = abs(graph.alpha[e])
+    n = abs(graph.alpha[e ^ 1])
+    return lcm(m, kc * n // gcd(n, kcbar)), lcm(n, kcbar * m // gcd(m, kc))
+
+
+def _kappa(graph: GbsGraph, e: int, k_prime):
+    kp, kp_bar = k_prime
+    return kp // abs(graph.alpha[e]), kp_bar // abs(graph.alpha[e ^ 1])
+
+
+def _big_n(graph: GbsGraph, e: int, kg: int, kgb: int) -> int:
+    n = abs(graph.alpha[e])
+    m = abs(graph.alpha[e ^ 1])
+    return n * n * kgb // (gcd(n, kg * m // gcd(m, kgb)) * gcd(m, kgb))
 
 
 def kappa_pair(graph: GbsGraph, spanning: SpanningData, edge):
     """(kappa_y, kappa_ybar): indices of the edge-group intersection inside
     each of the two edge-group images."""
     e = graph.edge_id(edge) if isinstance(edge, str) else edge
-    m = abs(graph.alpha[e])
-    n = abs(graph.alpha[e ^ 1])
-    kpy, kpy_bar = k_prime_pair(graph, spanning, edge)
-    return kpy // m, kpy_bar // n
+    return _kappa(graph, e, k_prime_pair(graph, spanning, e))
 
 
 def k_prime_pair(graph: GbsGraph, spanning: SpanningData, edge):
     """(k'_y, k'_ybar): relative orders of the edge-group intersection in the
     terminus and origin vertex groups."""
     e = graph.edge_id(edge) if isinstance(edge, str) else edge
-    group = GbsGroup(graph, spanning)
-    c = group.tree_path(graph.origin[e], graph.terminus[e])
-    cbar = [x ^ 1 for x in reversed(c)]
-    kc = geodesic_k(graph, spanning, c)
-    kcbar = geodesic_k(graph, spanning, cbar)
-    m = abs(graph.alpha[e])
-    n = abs(graph.alpha[e ^ 1])
-    kp_bar = lcm(n, kcbar * m // gcd(m, kc))
-    kp = lcm(m, kc * n // gcd(n, kcbar))
-    return kp, kp_bar
+    return _k_prime(graph, e, *_edge_ks(graph, spanning, e))
 
 
 def big_N(graph: GbsGraph, spanning: SpanningData, edge) -> int:
@@ -74,14 +90,7 @@ def big_N(graph: GbsGraph, spanning: SpanningData, edge) -> int:
     e = graph.edge_id(edge) if isinstance(edge, str) else edge
     if e in spanning.tree_edges:
         raise GraphError(f"edge {graph.edge_name(e)} lies in the spanning tree")
-    group = GbsGroup(graph, spanning)
-    gamma = group.tree_path(graph.origin[e], graph.terminus[e])
-    gamma_bar = [x ^ 1 for x in reversed(gamma)]
-    kg = geodesic_k(graph, spanning, gamma)
-    kgb = geodesic_k(graph, spanning, gamma_bar)
-    n = abs(graph.alpha[e])
-    m = abs(graph.alpha[e ^ 1])
-    return n * n * kgb // (gcd(n, kg * m // gcd(m, kgb)) * gcd(m, kgb))
+    return _big_n(graph, e, *_edge_ks(graph, spanning, e))
 
 
 def modular_value(g: GroupElement) -> Fraction:
@@ -97,40 +106,21 @@ def modular_value(g: GroupElement) -> Fraction:
 
 
 def vertex_index(g: GroupElement, vertex) -> int:
-    """Minimal k > 0 with g a_P^k g^-1 back in <a_P>.
+    """Minimal k > 0 with g a_P^k g^-1 back in <a_P>, in time linear in the
+    length of g.
 
-    The set of such k is a subgroup of Z containing the product of the
-    |alpha| over the transporting word's letters, so only divisors of that
-    product need testing.
+    Let h = r0 e1 r1 ... en rn be g as a canonical closed word at P.  Then
+    h a^k h^-1 = r0 e1 ... en k bar(en) ... bar(e1) -r0 collapses one pinch
+    at a time from the middle out, and it lies in <a> iff every collapse
+    happens: alpha(en) divides k, alpha(e_{n-1}) divides
+    alpha(bar en) k / alpha(en), and so on.  A collapse that fails leaves a
+    word with no pinch (h has none), which by Britton's lemma is not in <a>.
+    So the valid k form the subgroup k_c Z, with k_c the gcd recursion over
+    e1, ..., en: the edge labels of the Bass-Serre geodesic from P to h P.
+    The exponents r_i play no part.
     """
     group = g.group
-    graph = group.graph
-    alpha = graph.alpha
-    v = graph.vertex_id(vertex) if isinstance(vertex, str) else vertex
-    a = group.vertex_generator(v)
-    geo = group.geodesic_items(v)
-    inv_geo = wordcore.sweep_items(wordcore.inv_items(geo), alpha)
-    h = wordcore.mul_items(wordcore.mul_items(list(inv_geo), list(g.items), alpha),
-                           list(geo), alpha)
-    bound = 1
-    for i in range(1, len(h), 2):
-        bound *= abs(alpha[h[i]])
-    for k in _sorted_divisors(bound):
-        if group.as_vertex_power(g * a ** k * g.inverse(), v) is not None:
-            return k
-    raise AssertionError("finiteness bound violated")  # unreachable by the bound
-
-
-def _sorted_divisors(n: int):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return _index_along(group.graph.alpha, group.rebased_items(g, vertex)[1::2])
 
 
 @dataclass(frozen=True)
@@ -162,17 +152,19 @@ class TheoremVerdict:
 def check_theorem(graph: GbsGraph, spanning: SpanningData) -> TheoremVerdict:
     """Evaluate the sufficient conditions; the verdict is data, not a proof
     of non-simplicity when it fails."""
-    non_tree = [2 * i for i in range(len(graph.edge_names))
-                if 2 * i not in spanning.tree_edges]
-    witness = None
-    for e in non_tree:
-        ky, kyb = kappa_pair(graph, spanning, e)
-        if ky != kyb:
-            witness = graph.edge_name(e)
-            break
+    return _verdict(graph, {e: kappa_pair(graph, spanning, e)
+                            for e in range(0, graph.n_edges, 2)
+                            if e not in spanning.tree_edges})
+
+
+def _verdict(graph: GbsGraph, non_tree_kappa) -> TheoremVerdict:
+    """The verdict from the kappa pairs of the non-tree declared edges, in
+    declaration order."""
+    witness = next((graph.edge_name(e) for e, (ky, kyb)
+                    in non_tree_kappa.items() if ky != kyb), None)
     all_proper = all(abs(graph.alpha[e]) >= 2 for e in range(graph.n_edges))
     return TheoremVerdict(
-        not_a_tree=bool(non_tree),
+        not_a_tree=bool(non_tree_kappa),
         all_groups_z=True,
         exists_kappa_mismatch=witness is not None,
         witness_edge=witness,
@@ -200,16 +192,21 @@ class IndexReport:
 
 
 def index_report(graph: GbsGraph, spanning: SpanningData) -> IndexReport:
+    """Every declared edge's tree path and (k_c, k_cbar) are computed once;
+    kappa, k', N and the verdict all derive from them."""
     kappa = {}
     k_prime = {}
+    big_n = {}
+    non_tree_kappa = {}
     for i, name in enumerate(graph.edge_names):
-        kappa[name] = kappa_pair(graph, spanning, 2 * i)
-        k_prime[name] = k_prime_pair(graph, spanning, 2 * i)
+        e = 2 * i
+        kc, kcbar = _edge_ks(graph, spanning, e)
+        k_prime[name] = _k_prime(graph, e, kc, kcbar)
+        kappa[name] = _kappa(graph, e, k_prime[name])
+        if e not in spanning.tree_edges:
+            big_n[name] = _big_n(graph, e, kc, kcbar)
+            non_tree_kappa[e] = kappa[name]
     proper = {graph.edge_name(e): abs(graph.alpha[e]) >= 2
               for e in range(graph.n_edges)}
-    big_n = {}
-    for i, name in enumerate(graph.edge_names):
-        if 2 * i not in spanning.tree_edges:
-            big_n[name] = big_N(graph, spanning, 2 * i)
     return IndexReport(kappa=kappa, k_prime=k_prime, proper=proper,
-                       big_n=big_n, verdict=check_theorem(graph, spanning))
+                       big_n=big_n, verdict=_verdict(graph, non_tree_kappa))

@@ -19,7 +19,13 @@ import random
 import re
 
 from gbs import wordcore
-from gbs.graphs import GbsGraph, GraphError, SpanningData, parse_graph
+from gbs.graphs import (GbsGraph, GraphError, SpanningData, parse_graph,
+                        tree_paths)
+
+# Longest edge length a factor power in the word grammar may produce.  The
+# bound |N| * edge_length(factor) is checked before the power is built, so
+# g[y]^N with a huge N fails at once instead of exhausting memory.
+MAX_EDGE_LENGTH = 100_000
 
 
 class WordError(ValueError):
@@ -190,15 +196,7 @@ class GbsGroup:
 
     def _base_geodesics(self):
         """Edge path in the tree from the base to every vertex."""
-        paths = {self.base: []}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for e in range(self.graph.n_edges):
-                if (e in self.spanning.tree_edges and self.graph.origin[e] == v
-                        and self.graph.terminus[e] not in paths):
-                    paths[self.graph.terminus[e]] = paths[v] + [e]
-                    queue.append(self.graph.terminus[e])
+        paths = tree_paths(self.graph, self.spanning, self.base)
         if len(paths) != self.graph.n_vertices:
             raise GraphError("spanning tree does not reach every vertex")
         return paths
@@ -216,12 +214,7 @@ class GbsGroup:
 
     def tree_path(self, p: int, q: int):
         """Edge path p -> q inside the spanning tree."""
-        up = [e ^ 1 for e in reversed(self._geo[p])]
-        down = list(self._geo[q])
-        while up and down and up[-1] == (down[0] ^ 1):
-            up.pop()
-            down.pop(0)
-        return up + down
+        return tree_paths(self.graph, self.spanning, p)[q]
 
     # -- constructors --------------------------------------------------------
 
@@ -266,14 +259,19 @@ class GbsGroup:
 
     # -- membership ----------------------------------------------------------
 
-    def as_vertex_power(self, g: GroupElement, vertex):
-        """Return r with g = a_P^r in the group, or None."""
+    def rebased_items(self, g: GroupElement, vertex):
+        """Canonical items of geo^-1 * g * geo, geo the tree word base -> P:
+        g as a closed word at P instead of at the base."""
         v = self.graph.vertex_id(vertex) if isinstance(vertex, str) else vertex
         alpha = self.graph.alpha
         geo = self.geodesic_items(v)
         inv_geo = wordcore.sweep_items(wordcore.inv_items(geo), alpha)
-        items = wordcore.mul_items(
+        return wordcore.mul_items(
             wordcore.mul_items(inv_geo, list(g.items), alpha), geo, alpha)
+
+    def as_vertex_power(self, g: GroupElement, vertex):
+        """Return r with g = a_P^r in the group, or None."""
+        items = self.rebased_items(g, vertex)
         if len(items) == 1:
             return items[0]
         return None
@@ -294,9 +292,14 @@ class GbsGroup:
 
     def from_string(self, text: str) -> GroupElement:
         """Parse ``word := '1' | factor ('*' factor)*`` with
-        ``factor := atom ('^' int)?`` and ``atom := a[P] | g[~?y]``."""
+        ``factor := atom ('^' int)?`` and ``atom := a[P] | g[~?y]``.
+
+        A power of a ``g[y]`` factor whose edge length could exceed
+        ``MAX_EDGE_LENGTH`` is rejected before it is built; powers of
+        ``a[P]`` keep their edge length and are not capped."""
         text = text.strip()
         factors = []
+        vertex_power = False    # the last factor is a power of some a[P]
         pos, n = 0, len(text)
         expect_atom = True
         while pos < n:
@@ -312,11 +315,22 @@ class GbsGroup:
             elif power:
                 if expect_atom or not factors:
                     raise WordError("misplaced exponent")
-                factors[-1] = factors[-1] ** int(power[1:])
+                try:
+                    k = int(power[1:])
+                except ValueError:      # beyond Python's int-string limit
+                    raise WordError(
+                        f"exponent too long at position {m.start(2)}") from None
+                length = factors[-1].edge_length
+                if not vertex_power and length * abs(k) > MAX_EDGE_LENGTH:
+                    raise WordError(
+                        f"power of a factor of edge length {length} exceeds "
+                        f"the edge-length cap {MAX_EDGE_LENGTH}")
+                factors[-1] = factors[-1] ** k
             elif one:
                 if not expect_atom:
                     raise WordError("misplaced '1'")
                 factors.append(self.identity())
+                vertex_power = False
                 expect_atom = False
             else:
                 if not expect_atom:
@@ -325,6 +339,7 @@ class GbsGroup:
                     factors.append(self.vertex_generator(atom_a[2:-1]))
                 else:
                     factors.append(self.edge_generator(atom_g[2:-1]))
+                vertex_power = bool(atom_a)
                 expect_atom = False
         if expect_atom:
             raise WordError("empty word" if not factors else "dangling '*'")

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from gbs.words import MAX_EDGE_LENGTH
+
 from conftest import FIXTURES, bs_text
 
 BS23 = str(FIXTURES / "bs23.gbs")
@@ -93,6 +95,9 @@ def test_exit_codes(tmp_path):
     assert run("check", str(bad)).returncode == 2
     r = run("reduce", BS23, "a[P)^")
     assert r.returncode == 2
+    r = run("reduce", BS23, f"g[y]^{MAX_EDGE_LENGTH + 1}")
+    assert r.returncode == 2, r.stdout
+    assert "edge-length cap" in r.stderr and "Traceback" not in r.stderr
     for word_bound, exp_bound in (("1", "-1"), ("-1", "2")):
         r = run("pingpong", BS23, "--edge", "y", "-L", "1",
                 "--word-bound", word_bound, "--exp-bound", exp_bound)

@@ -232,3 +232,136 @@ def test_intersection_law_bs23(bs23):
         assert found == expected[n]
         if n >= 1:
             assert found == 1 * 3 ** n
+
+
+# -- vertex_index against independent oracles ---------------------------------
+
+FIXTURE_NAMES = ("bs23", "gbs2", "chain3", "two_vertex")
+
+
+def product_words(group, rng, count, max_factors):
+    """Random products of the vertex and edge generators and their inverses,
+    so that multi-vertex fixtures see edge letters too."""
+    graph = group.graph
+    gens = [group.vertex_generator(v) for v in range(graph.n_vertices)]
+    gens += [group.edge_generator(e) for e in range(0, graph.n_edges, 2)]
+    gens += [x.inverse() for x in gens]
+    for _ in range(count):
+        g = group.identity()
+        for _ in range(rng.randint(0, max_factors)):
+            g = g * rng.choice(gens)
+        yield g
+
+
+def brute_force_index(group, g, vertex, bound=10**4):
+    """Least k > 0 with g a^k g^-1 in <a>, by a linear scan over k."""
+    step = g * group.vertex_generator(vertex) * g.inverse()
+    x = step
+    for k in range(1, bound + 1):
+        if group.as_vertex_power(x, vertex) is not None:
+            return k
+        x = x * step
+    raise AssertionError("brute-force bound exceeded")
+
+
+def index_mismatches(groups, seed):
+    """(name, word, vertex, got, expected) for every disagreement with the
+    brute-force scan, and the largest index seen per fixture."""
+    rng = random.Random(seed)
+    bad, largest = [], {}
+    for name, group in groups.items():
+        largest[name] = 1
+        for g in product_words(group, rng, 100, 6):
+            for v in range(group.graph.n_vertices):
+                got = indices.vertex_index(g, v)
+                expected = brute_force_index(group, g, v)
+                largest[name] = max(largest[name], expected)
+                if got != expected:
+                    bad.append((name, str(g), v, got, expected))
+    return bad, largest
+
+
+def prime_factors(n):
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def theorem_data_certificate_failures(group, ks):
+    """k for which K1 of build_theorem_data(t^k a t^-k) is not the least
+    valid exponent.  The valid exponents of x = r'_2^-1 form a subgroup of
+    Z, so K1 is least iff K1 is valid and K1/p is not, for each prime p | K1.
+    """
+    from gbs.pingpong import build_theorem_data
+
+    graph = group.graph
+    e = graph.edge_id("y")
+    target = graph.terminus[e]
+    a = group.vertex_generator(target)
+    t = group.edge_generator(e)
+    bad = []
+    for k in ks:
+        td = build_theorem_data(group, e, t ** k * a * t.inverse() ** k, 4)
+        x = td.rp2.inverse()
+        xinv = td.rp2
+
+        def valid(j):
+            return group.as_vertex_power(x * a ** j * xinv, target) is not None
+
+        k1 = td.K1_exponent
+        if not valid(k1) or any(valid(k1 // p) for p in prime_factors(k1)):
+            bad.append((k, k1))
+    return bad
+
+
+def test_vertex_index_brute_force_every_vertex(request):
+    groups = {name: request.getfixturevalue(name) for name in FIXTURE_NAMES}
+    bad, largest = index_mismatches(groups, seed=53)
+    assert bad == []
+    for name, group in groups.items():
+        if group.graph.n_vertices > 1:
+            assert largest[name] > 1, name
+
+
+def test_theorem_data_k1_is_minimal(bs23, gbs2):
+    for group in (bs23, gbs2):
+        assert theorem_data_certificate_failures(group, range(13)) == []
+
+
+def test_vertex_index_fixed_kernel_calls(bs23, monkeypatch):
+    from gbs import wordcore
+
+    calls = []
+    real_mul = wordcore.mul_items
+
+    def counting_mul(a, b, alpha):
+        calls.append(len(b))
+        return real_mul(a, b, alpha)
+
+    a = bs23.vertex_generator("P")
+    t = bs23.edge_generator("y")
+    words = [t ** k * a * t.inverse() ** k for k in (1, 10, 50, 200)]
+    monkeypatch.setattr(wordcore, "mul_items", counting_mul)
+    counts = []
+    for g in words:
+        calls.clear()
+        indices.vertex_index(g, "P")
+        counts.append(len(calls))
+    assert counts == [2] * len(words)
+
+
+def test_swapped_recursion_fails_the_oracles(request, monkeypatch):
+    """Reading alpha(bar e) for alpha(e) in the recursion must be caught."""
+    groups = {name: request.getfixturevalue(name) for name in FIXTURE_NAMES}
+    real = indices._index_along
+    monkeypatch.setattr(indices, "_index_along",
+                        lambda alpha, edges: real(alpha, [e ^ 1 for e in edges]))
+    bad, _ = index_mismatches(groups, seed=53)
+    assert bad
+    assert theorem_data_certificate_failures(groups["bs23"], range(13))

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from gbs import wordcore
-from gbs.words import (GbsGroup, PathWord, WordError, closed_words,
-                       random_closed_word)
+from gbs.words import (MAX_EDGE_LENGTH, GbsGroup, PathWord, WordError,
+                       closed_words, random_closed_word)
 
 
 def test_reduce_defining_relation(bs23):
@@ -75,6 +75,23 @@ def test_grammar_errors(bs23):
     for bad in ("", "a[P]*", "^2", "a[P]^^2", "a[Z]", "g[z]", "a[P] a[P]"):
         with pytest.raises((WordError, Exception)):
             bs23.from_string(bad)
+
+
+def test_power_cap(bs23, gbs2):
+    cap = MAX_EDGE_LENGTH
+    assert bs23.from_string(f"g[y]^{cap}").edge_length == cap
+    for group, text in ((bs23, f"g[y]^{cap + 1}"), (bs23, f"g[~y]^-{cap + 1}"),
+                        (bs23, f"a[P]*g[y]^{cap + 1}*a[P]"),
+                        (bs23, f"g[y]^2^{cap // 2 + 1}"),
+                        (gbs2, f"g[y]^{cap // 2 + 1}")):   # g[y] = y ~w there
+        with pytest.raises(WordError, match="edge-length cap"):
+            group.from_string(text)
+    # powers of a[P] keep their edge length and stay uncapped
+    assert bs23.from_string(f"a[P]^{10 ** 30}").edge_length == 0
+    assert gbs2.from_string(f"a[Q]^{cap + 1}").edge_length == 2
+    assert gbs2.from_string(f"a[Q]^3^{cap + 1}").edge_length == 2
+    with pytest.raises(WordError, match="exponent too long"):
+        bs23.from_string("a[P]^" + "9" * 5000)
 
 
 def test_length_and_signs(bs23):
