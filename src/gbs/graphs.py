@@ -22,6 +22,7 @@ Text format (``#`` starts a comment, identifiers ``[A-Za-z_][A-Za-z0-9_]*``)::
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -46,7 +47,7 @@ class GbsGraph:
     """Immutable graph of groups with Z vertex/edge groups."""
 
     __slots__ = ("vertices", "edge_names", "origin", "terminus", "alpha",
-                 "_vertex_index", "_edge_index")
+                 "_vertex_index", "_edge_index", "_out")
 
     def __init__(self, vertices, edges):
         """``vertices``: iterable of names.  ``edges``: iterable of
@@ -80,8 +81,12 @@ class GbsGraph:
         self.terminus = tuple(x for o, t in zip(orig, term) for x in (t, o))
         self.alpha = tuple(x for af, ab in alph for x in (af, ab))
         self._edge_index = {n: 2 * i for i, n in enumerate(names)}
+        out = [[] for _ in vertices]
+        for e, o in enumerate(self.origin):
+            out[o].append(e)
+        self._out = tuple(tuple(es) for es in out)
 
-        if not self._connected():
+        if len(paths_from(self, 0)) != self.n_vertices:
             raise GraphError("graph is not connected")
 
     # -- structure ---------------------------------------------------------
@@ -95,16 +100,16 @@ class GbsGraph:
         """Number of directed edges (twice the number of pairs)."""
         return 2 * len(self.edge_names)
 
-    @staticmethod
-    def bar(e: int) -> int:
-        return e ^ 1
-
     def edge_name(self, e: int) -> str:
         base = self.edge_names[e // 2]
         return base if e % 2 == 0 else "~" + base
 
-    def edge_id(self, name: str) -> int:
-        """Directed edge index for ``name`` or ``~name``."""
+    def edge_id(self, name) -> int:
+        """Directed edge index for ``name``, ``~name`` or an index."""
+        if not isinstance(name, str):
+            if not 0 <= name < self.n_edges:
+                raise GraphError(f"unknown edge index {name}")
+            return name
         rev = name.startswith("~")
         if rev:
             name = name[1:]
@@ -114,7 +119,12 @@ class GbsGraph:
             raise GraphError(f"unknown edge {name!r}") from None
         return e ^ 1 if rev else e
 
-    def vertex_id(self, name: str) -> int:
+    def vertex_id(self, name) -> int:
+        """Vertex index for a name or an index."""
+        if not isinstance(name, str):
+            if not 0 <= name < self.n_vertices:
+                raise GraphError(f"unknown vertex index {name}")
+            return name
         try:
             return self._vertex_index[name]
         except KeyError:
@@ -122,20 +132,7 @@ class GbsGraph:
 
     def edges_from(self, v: int):
         """Directed edges with origin ``v``, in index order."""
-        return [e for e in range(self.n_edges) if self.origin[e] == v]
-
-    def _connected(self, skip_pair=None):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in range(self.n_edges):
-                if skip_pair is not None and e // 2 == skip_pair:
-                    continue
-                if self.origin[e] == v and self.terminus[e] not in seen:
-                    seen.add(self.terminus[e])
-                    stack.append(self.terminus[e])
-        return len(seen) == self.n_vertices
+        return self._out[v]
 
     def to_text(self, spanning=None) -> str:
         lines = [f"vertex {v}" for v in self.vertices]
@@ -170,62 +167,32 @@ class SpanningData:
     tree_edges: frozenset
     base: int
 
-    def in_tree(self, e: int) -> bool:
-        return e in self.tree_edges
 
-    @staticmethod
-    def orientation_e(e: int) -> int:
-        return e % 2
+def paths_from(graph: GbsGraph, source: int, edges=None):
+    """BFS-tree edge path source -> v for every vertex v reachable from
+    ``source`` along the directed edges in ``edges`` (all edges when None).
+    Vertices are expanded first in, first out and their edges in index
+    order, so inside a tree the path is the unique one."""
+    paths = {source: []}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for e in graph.edges_from(v):
+            w = graph.terminus[e]
+            if w not in paths and (edges is None or e in edges):
+                paths[w] = paths[v] + [e]
+                queue.append(w)
+    return paths
 
 
 def compute_spanning_tree(graph: GbsGraph, base: int) -> frozenset:
     """Deterministic maximal subtree: BFS from the base, edges scanned in
     declaration order.  Returns directed edge indices (both directions)."""
-    seen = {base}
-    tree = set()
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for e in range(graph.n_edges):
-            if graph.origin[e] == v and graph.terminus[e] not in seen:
-                seen.add(graph.terminus[e])
-                tree.add(e)
-                tree.add(e ^ 1)
-                queue.append(graph.terminus[e])
-    if len(seen) != graph.n_vertices:
+    paths = paths_from(graph, base)
+    if len(paths) != graph.n_vertices:
         raise GraphError("graph is not connected")
-    return frozenset(tree)
-
-
-def tree_paths(graph: GbsGraph, spanning: SpanningData, source: int):
-    """The unique edge path source -> v inside the spanning tree, for every
-    vertex v the tree reaches."""
-    paths = {source: []}
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        for e in spanning.tree_edges:
-            if graph.origin[e] == v and graph.terminus[e] not in paths:
-                paths[graph.terminus[e]] = paths[v] + [e]
-                stack.append(graph.terminus[e])
-    return paths
-
-
-def _validate_tree(graph: GbsGraph, tree: set, line=None):
-    pairs = {e // 2 for e in tree}
-    if len(pairs) != graph.n_vertices - 1:
-        raise ParseError("declared tree is not a maximal subtree "
-                         f"({len(pairs)} pairs for {graph.n_vertices} vertices)", line)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e in range(graph.n_edges):
-            if e // 2 in pairs and graph.origin[e] == v and graph.terminus[e] not in seen:
-                seen.add(graph.terminus[e])
-                stack.append(graph.terminus[e])
-    if len(seen) != graph.n_vertices:
-        raise ParseError("declared tree does not span all vertices", line)
+    return frozenset(x for path in paths.values() if path
+                     for x in (path[-1], path[-1] ^ 1))
 
 
 _EDGE_RE = re.compile(
@@ -296,7 +263,13 @@ def parse_graph(text: str):
             e = graph.edge_id(name)
             tree.add(e)
             tree.add(e ^ 1)
-        _validate_tree(graph, tree, tree_line)
+        pairs = len(tree) // 2
+        if pairs != graph.n_vertices - 1:
+            raise ParseError("declared tree is not a maximal subtree "
+                             f"({pairs} pairs for {graph.n_vertices} vertices)",
+                             tree_line)
+        if len(paths_from(graph, 0, tree)) != graph.n_vertices:
+            raise ParseError("declared tree does not span all vertices", tree_line)
         tree_edges = frozenset(tree)
     else:
         tree_edges = compute_spanning_tree(graph, base)
@@ -319,26 +292,13 @@ class Decomposition:
 
 def decompose(graph: GbsGraph, edge) -> Decomposition:
     """Classify the removal of ``edge``'s pair, per the subgraph lemma."""
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
-    if not 0 <= e < graph.n_edges:
-        raise GraphError(f"unknown edge index {e}")
-    pair = e // 2
+    e = graph.edge_id(edge)
+    rest = frozenset(x for x in range(graph.n_edges) if x // 2 != e // 2)
 
     def component(start):
-        vs = {start}
-        stack = [start]
-        es = set()
-        while stack:
-            v = stack.pop()
-            for x in range(graph.n_edges):
-                if x // 2 == pair or graph.origin[x] != v:
-                    continue
-                es.add(x)
-                es.add(x ^ 1)
-                if graph.terminus[x] not in vs:
-                    vs.add(graph.terminus[x])
-                    stack.append(graph.terminus[x])
-        return frozenset(vs), frozenset(es)
+        vs = frozenset(paths_from(graph, start, rest))
+        return vs, frozenset(x for v in vs for x in graph.edges_from(v)
+                             if x in rest)
 
     side_o = component(graph.origin[e])
     if graph.terminus[e] in side_o[0]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from gbs.graphs import GbsGraph, GraphError, SpanningData, tree_paths
+from gbs.graphs import GbsGraph, GraphError, SpanningData, paths_from
 from gbs.words import GroupElement
 
 
@@ -47,7 +47,7 @@ def geodesic_k(graph: GbsGraph, spanning: SpanningData, path) -> int:
 
 def _edge_ks(graph: GbsGraph, spanning: SpanningData, e: int):
     """(k_c, k_cbar) for the tree path c from o(e) to t(e) and its reverse."""
-    c = tree_paths(graph, spanning, graph.origin[e])[graph.terminus[e]]
+    c = paths_from(graph, graph.origin[e], spanning.tree_edges)[graph.terminus[e]]
     cbar = [x ^ 1 for x in reversed(c)]
     return _index_along(graph.alpha, c), _index_along(graph.alpha, cbar)
 
@@ -72,14 +72,14 @@ def _big_n(graph: GbsGraph, e: int, kg: int, kgb: int) -> int:
 def kappa_pair(graph: GbsGraph, spanning: SpanningData, edge):
     """(kappa_y, kappa_ybar): indices of the edge-group intersection inside
     each of the two edge-group images."""
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     return _kappa(graph, e, k_prime_pair(graph, spanning, e))
 
 
 def k_prime_pair(graph: GbsGraph, spanning: SpanningData, edge):
     """(k'_y, k'_ybar): relative orders of the edge-group intersection in the
     terminus and origin vertex groups."""
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     return _k_prime(graph, e, *_edge_ks(graph, spanning, e))
 
 
@@ -87,7 +87,7 @@ def big_N(graph: GbsGraph, spanning: SpanningData, edge) -> int:
     """The constant with <a^N> = <a> cap t^-2 <b> t^2 for a non-tree edge,
     where a, b generate the terminus and origin vertex groups and t is the
     edge generator."""
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     if e in spanning.tree_edges:
         raise GraphError(f"edge {graph.edge_name(e)} lies in the spanning tree")
     return _big_n(graph, e, *_edge_ks(graph, spanning, e))

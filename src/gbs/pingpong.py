@@ -18,6 +18,7 @@ c, d in {a, e} protecting the junctions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import lcm
 
 from gbs import wordcore
@@ -49,7 +50,7 @@ def build_ce2(group: GbsGroup, edge, L: int, count: int = 9) -> Ce2Data:
     """Construct the averaging data; L is supplied by the caller (the lemma
     takes the maximum y-length over the finite set under test)."""
     graph = group.graph
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     if not check_theorem(graph, group.spanning).sufficient_conditions_met:
         raise PingPongError("graph fails the sufficient simplicity conditions")
     if e in group.spanning.tree_edges:
@@ -64,32 +65,30 @@ def build_ce2(group: GbsGroup, edge, L: int, count: int = 9) -> Ce2Data:
     a = group.vertex_generator(graph.terminus[e])
     b = group.vertex_generator(graph.origin[e])
     t = group.edge_generator(e)
+    return Ce2Data(group=group, edge=e, a=a, b=b, t=t,
+                   n=abs(graph.alpha[e]), m=abs(graph.alpha[e ^ 1]),
+                   N=big_N(graph, group.spanning, e), L=L,
+                   z=tuple(islice(_conjugators(a, b, t, L, 0), count)))
+
+
+def _conjugators(a, b, t, L: int, start: int):
+    """z_{start+1}, z_{start+2}, ... with z_j = r1^j r2 r1^L."""
     tinv = t.inverse()
     r1 = a * tinv * b * t
     r2 = a * tinv * tinv * b * t * t
     r1_L = r1 ** L
-    z = []
-    acc = group.identity()
-    for _ in range(count):
+    acc = r1 ** start
+    while True:
         acc = acc * r1                      # acc = r1^j
-        z.append(acc * r2 * r1_L)
-    return Ce2Data(group=group, edge=e, a=a, b=b, t=t,
-                   n=abs(graph.alpha[e]), m=abs(graph.alpha[e ^ 1]),
-                   N=big_N(graph, group.spanning, e), L=L, z=tuple(z))
+        yield acc * r2 * r1_L
 
 
 def averaging_elements(data: Ce2Data, count: int):
     """z_1 .. z_count; extends past the stored nine by the same pattern."""
-    if count <= len(data.z):
-        return list(data.z[:count])
-    out = list(data.z)
-    r1 = data.a * data.t.inverse() * data.b * data.t
-    r2 = data.a * data.t.inverse() ** 2 * data.b * data.t ** 2
-    r1_L = r1 ** data.L
-    acc = r1 ** len(out)
-    while len(out) < count:
-        acc = acc * r1
-        out.append(acc * r2 * r1_L)
+    out = list(data.z[:count])
+    if count > len(out):
+        out.extend(islice(_conjugators(data.a, data.b, data.t, data.L,
+                                       len(out)), count - len(out)))
     return out
 
 
@@ -237,7 +236,7 @@ def choose_cd(group: GbsGroup, edge, g: GroupElement):
     t^+-1 c g d t^+-1 gain exactly two y-letters over g.  Returns the pair
     as group elements together with their "e"/"a" flags."""
     graph = group.graph
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     if abs(graph.alpha[e ^ 1]) < 2:
         raise PingPongError("needs a proper edge subgroup at the origin")
     a = group.vertex_generator(graph.terminus[e])
@@ -277,7 +276,7 @@ class TheoremData:
 def build_theorem_data(group: GbsGroup, edge, g: GroupElement,
                        count: int) -> TheoremData:
     graph = group.graph
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     (c, d), flags = choose_cd(group, e, g)
     b = group.vertex_generator(graph.origin[e])
     t = group.edge_generator(e)

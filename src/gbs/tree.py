@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from gbs import wordcore
-from gbs.graphs import Decomposition, GbsGraph, GraphError, compute_spanning_tree, decompose
+from gbs.graphs import Decomposition, GraphError, decompose, paths_from
 from gbs.words import GbsGroup, GroupElement, WordError, path_string
 
 
@@ -56,12 +56,7 @@ def act(group: GbsGroup, g: GroupElement, v: TreeVertex) -> TreeVertex:
 
 def stabilizes(group: GbsGroup, g: GroupElement, v: TreeVertex) -> bool:
     """True iff h^-1 g h lies in the vertex group, h a representative."""
-    alpha = group.graph.alpha
-    h = v.rep_items()
-    hinv = wordcore.sweep_items(wordcore.inv_items(h), alpha)
-    conj = wordcore.mul_items(wordcore.mul_items(hinv, list(g.items), alpha),
-                              h, alpha)
-    return len(conj) == 1
+    return len(group.conjugated_items(g, v.rep_items())) == 1
 
 
 def _neighbors(group: GbsGroup, v: TreeVertex):
@@ -69,9 +64,7 @@ def _neighbors(group: GbsGroup, v: TreeVertex):
     graph = group.graph
     out = []
     rep = v.rep_items()
-    for e in range(graph.n_edges):
-        if graph.origin[e] != v.vertex:
-            continue
+    for e in graph.edges_from(v.vertex):
         for rho in range(abs(graph.alpha[e ^ 1])):
             items = list(rep)
             items[-1] = rho
@@ -212,36 +205,35 @@ def moved_vertex(group: GbsGroup, g: GroupElement, max_radius: int):
         f"no moved vertex within radius {max_radius}")
 
 
-def _avoiding_geodesics(group: GbsGroup, pair: int):
-    """Base geodesics through a maximal subtree avoiding one edge pair.
-    Fails when removing the pair disconnects the graph."""
+def _avoiding_geodesics(group: GbsGroup, e: int):
+    """Zero-exponent base geodesics through the BFS subtree of the graph
+    without e's pair.  Fails when removing the pair disconnects the graph."""
     graph = group.graph
-    pruned = _PrunedView(graph, pair)
-    tree = compute_spanning_tree(pruned, group.base)
-    paths = {group.base: [0]}
-    queue = deque([group.base])
-    while queue:
-        v = queue.popleft()
-        for x in range(graph.n_edges):
-            if x in tree and graph.origin[x] == v and graph.terminus[x] not in paths:
-                paths[graph.terminus[x]] = paths[v] + [x, 0]
-                queue.append(graph.terminus[x])
-    return paths
+    paths = paths_from(graph, group.base,
+                       {x for x in range(graph.n_edges) if x // 2 != e // 2})
+    if len(paths) != graph.n_vertices:
+        raise GraphError(f"removing {graph.edge_name(e)} disconnects the graph")
+    return {v: [0] + [x for y in path for x in (y, 0)]
+            for v, path in paths.items()}
+
+
+def _stable_through(group: GbsGroup, e: int, paths) -> GroupElement:
+    """The edge generator of ``e`` taken through the subtree of ``paths``."""
+    graph = group.graph
+    items = list(paths[graph.origin[e]])
+    items.append(e)
+    items.extend(wordcore.inv_items(paths[graph.terminus[e]]))
+    return group.element(items)
 
 
 def stable_letter(group: GbsGroup, edge) -> GroupElement:
     """The element acting as the stable letter of the HNN splitting at a
     non-separating edge: the edge generator taken through a maximal subtree
     that avoids the edge pair."""
-    graph = group.graph
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = group.graph.edge_id(edge)
     if e not in group.spanning.tree_edges:
         return group.edge_generator(e)
-    paths = _avoiding_geodesics(group, e // 2)
-    items = list(paths[graph.origin[e]])
-    items.append(e)
-    items.extend(wordcore.inv_items(paths[graph.terminus[e]]))
-    return group.element(items)
+    return _stable_through(group, e, _avoiding_geodesics(group, e))
 
 
 def _transporter(group: GbsGroup, paths, vertex: int) -> GroupElement:
@@ -252,22 +244,6 @@ def _transporter(group: GbsGroup, paths, vertex: int) -> GroupElement:
     items[-1] += back[0]
     items.extend(back[1:])
     return group.element(items)
-
-
-class _PrunedView:
-    """Read-only view of a graph with one edge pair removed, enough for
-    compute_spanning_tree."""
-
-    def __init__(self, graph: GbsGraph, skip_pair: int):
-        self._g = graph
-        self._skip = skip_pair
-        self.n_vertices = graph.n_vertices
-        self.n_edges = graph.n_edges
-        self.origin = [
-            -1 if e // 2 == skip_pair else graph.origin[e]
-            for e in range(graph.n_edges)
-        ]
-        self.terminus = graph.terminus
 
 
 def stabilizer_cover(group: GbsGroup, g: GroupElement, edge):
@@ -282,7 +258,7 @@ def stabilizer_cover(group: GbsGroup, g: GroupElement, edge):
     |alpha(edge)| >= 2 so a_Q witnesses G_Q minus the edge subgroup.
     """
     graph = group.graph
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
+    e = graph.edge_id(edge)
     p = graph.origin[e]
     pcoset = coset_vertex(group, group.geodesic_items(p), p)
     dec = decompose(graph, e)
@@ -291,11 +267,8 @@ def stabilizer_cover(group: GbsGroup, g: GroupElement, edge):
             first = act(group, g, pcoset)
             second = act(group, g * group.edge_generator(e).inverse(), pcoset)
         else:
-            paths = _avoiding_geodesics(group, e // 2)
-            s_items = list(paths[p])
-            s_items.append(e)
-            s_items.extend(wordcore.inv_items(paths[graph.terminus[e]]))
-            s = group.element(s_items)
+            paths = _avoiding_geodesics(group, e)
+            s = _stable_through(group, e, paths)
             sigma = _transporter(group, paths, p)
             tau = _transporter(group, paths, graph.terminus[e])
             left = g * tau.inverse()

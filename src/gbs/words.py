@@ -20,7 +20,7 @@ import re
 
 from gbs import wordcore
 from gbs.graphs import (GbsGraph, GraphError, SpanningData, parse_graph,
-                        tree_paths)
+                        paths_from)
 
 # Longest edge length a factor power in the word grammar may produce.  The
 # bound |N| * edge_length(factor) is checked before the power is built, so
@@ -132,10 +132,6 @@ class GroupElement:
             k >>= 1
         return out
 
-    def conjugate_by(self, z: "GroupElement") -> "GroupElement":
-        """z * self * z^-1."""
-        return z * self * z.inverse()
-
     def is_identity(self) -> bool:
         return self.items == (0,)
 
@@ -145,7 +141,7 @@ class GroupElement:
 
     def edge_letter_count(self, edge) -> int:
         """Occurrences of ``edge`` or its reversal among the letters (l_y)."""
-        e = self._edge(edge)
+        e = self.group.graph.edge_id(edge)
         pair = e // 2
         return sum(1 for i in range(1, len(self.items), 2)
                    if self.items[i] // 2 == pair)
@@ -153,7 +149,7 @@ class GroupElement:
     def sign_prefix(self, edge, count: int):
         """First ``count`` signs of the edge-letter sequence: +1 for the
         edge as given, -1 for its reversal."""
-        e = self._edge(edge)
+        e = self.group.graph.edge_id(edge)
         signs = []
         for i in range(1, len(self.items), 2):
             x = self.items[i]
@@ -163,9 +159,6 @@ class GroupElement:
                     return tuple(signs)
         raise WordError(
             f"word has only {len(signs)} letters from the pair, {count} requested")
-
-    def _edge(self, edge) -> int:
-        return self.group.graph.edge_id(edge) if isinstance(edge, str) else edge
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and other.group is self.group
@@ -196,7 +189,7 @@ class GbsGroup:
 
     def _base_geodesics(self):
         """Edge path in the tree from the base to every vertex."""
-        paths = tree_paths(self.graph, self.spanning, self.base)
+        paths = paths_from(self.graph, self.base, self.spanning.tree_edges)
         if len(paths) != self.graph.n_vertices:
             raise GraphError("spanning tree does not reach every vertex")
         return paths
@@ -214,7 +207,7 @@ class GbsGroup:
 
     def tree_path(self, p: int, q: int):
         """Edge path p -> q inside the spanning tree."""
-        return tree_paths(self.graph, self.spanning, p)[q]
+        return paths_from(self.graph, p, self.spanning.tree_edges)[q]
 
     # -- constructors --------------------------------------------------------
 
@@ -230,7 +223,7 @@ class GbsGroup:
 
     def vertex_generator(self, vertex, power=1) -> GroupElement:
         """a_P^power, transported to the base along the tree."""
-        v = self.graph.vertex_id(vertex) if isinstance(vertex, str) else vertex
+        v = self.graph.vertex_id(vertex)
         items = self.geodesic_items(v)
         items[-1] = power
         rest = self.geodesic_items(v, reverse=True)
@@ -240,7 +233,7 @@ class GbsGroup:
 
     def edge_generator(self, edge) -> GroupElement:
         """g_y: geodesic to o(y), the letter y, geodesic back from t(y)."""
-        e = self.graph.edge_id(edge) if isinstance(edge, str) else edge
+        e = self.graph.edge_id(edge)
         items = self.geodesic_items(self.graph.origin[e])
         items.append(e)
         rest = self.geodesic_items(self.graph.terminus[e], reverse=True)
@@ -248,26 +241,23 @@ class GbsGroup:
         return GroupElement(self, items)
 
     def path_word(self, start, items) -> PathWord:
-        v = self.graph.vertex_id(start) if isinstance(start, str) else start
-        return PathWord(self.graph, v, items)
-
-    def close(self, word: PathWord) -> GroupElement:
-        """Interpret a closed path word at the base as a group element."""
-        if word.start != self.base or word.end != self.base:
-            raise WordError("word is not closed at the base vertex")
-        return GroupElement(self, list(word.items))
+        return PathWord(self.graph, self.graph.vertex_id(start), items)
 
     # -- membership ----------------------------------------------------------
+
+    def conjugated_items(self, g: GroupElement, h):
+        """Canonical items of h^-1 * g * h for a canonical path word ``h``
+        (items) from the base."""
+        alpha = self.graph.alpha
+        h_inv = wordcore.sweep_items(wordcore.inv_items(h), alpha)
+        return wordcore.mul_items(
+            wordcore.mul_items(h_inv, list(g.items), alpha), h, alpha)
 
     def rebased_items(self, g: GroupElement, vertex):
         """Canonical items of geo^-1 * g * geo, geo the tree word base -> P:
         g as a closed word at P instead of at the base."""
-        v = self.graph.vertex_id(vertex) if isinstance(vertex, str) else vertex
-        alpha = self.graph.alpha
-        geo = self.geodesic_items(v)
-        inv_geo = wordcore.sweep_items(wordcore.inv_items(geo), alpha)
-        return wordcore.mul_items(
-            wordcore.mul_items(inv_geo, list(g.items), alpha), geo, alpha)
+        return self.conjugated_items(
+            g, self.geodesic_items(self.graph.vertex_id(vertex)))
 
     def as_vertex_power(self, g: GroupElement, vertex):
         """Return r with g = a_P^r in the group, or None."""
@@ -300,6 +290,7 @@ class GbsGroup:
         text = text.strip()
         factors = []
         vertex_power = False    # the last factor is a power of some a[P]
+        powered = False         # the last factor already carries an exponent
         pos, n = 0, len(text)
         expect_atom = True
         while pos < n:
@@ -313,7 +304,7 @@ class GbsGroup:
                     raise WordError("misplaced '*'")
                 expect_atom = True
             elif power:
-                if expect_atom or not factors:
+                if expect_atom or powered:
                     raise WordError("misplaced exponent")
                 try:
                     k = int(power[1:])
@@ -326,11 +317,12 @@ class GbsGroup:
                         f"power of a factor of edge length {length} exceeds "
                         f"the edge-length cap {MAX_EDGE_LENGTH}")
                 factors[-1] = factors[-1] ** k
+                powered = True
             elif one:
                 if not expect_atom:
                     raise WordError("misplaced '1'")
                 factors.append(self.identity())
-                vertex_power = False
+                vertex_power = powered = False
                 expect_atom = False
             else:
                 if not expect_atom:
@@ -339,7 +331,7 @@ class GbsGroup:
                     factors.append(self.vertex_generator(atom_a[2:-1]))
                 else:
                     factors.append(self.edge_generator(atom_g[2:-1]))
-                vertex_power = bool(atom_a)
+                vertex_power, powered = bool(atom_a), False
                 expect_atom = False
         if expect_atom:
             raise WordError("empty word" if not factors else "dangling '*'")
@@ -393,7 +385,9 @@ def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
     once.  Words are emitted as item tuples.
     """
     graph = group.graph
-    dist = _distances_to(graph, group.base)
+    # edges come in reversed pairs, so distance to the base is distance from it
+    dist = {v: len(p) for v, p in paths_from(graph, group.base).items()}
+    out = [graph.edges_from(v) for v in range(graph.n_vertices)]
 
     def rec(v, items, remaining):
         if v == group.base:
@@ -404,9 +398,7 @@ def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
         if remaining == 0:
             return
         last_edge = items[-2] if len(items) >= 2 else None
-        for e in range(graph.n_edges):
-            if graph.origin[e] != v:
-                continue
+        for e in out[v]:
             if remaining - 1 < dist[graph.terminus[e]]:
                 continue
             m = abs(graph.alpha[e ^ 1])
@@ -423,24 +415,12 @@ def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
     yield from rec(group.base, [0], max_edges)
 
 
-def _distances_to(graph: GbsGraph, target: int):
-    dist = {target: 0}
-    queue = [target]
-    while queue:
-        v = queue.pop(0)
-        for e in range(graph.n_edges):
-            if graph.terminus[e] == v and graph.origin[e] not in dist:
-                dist[graph.origin[e]] = dist[v] + 1
-                queue.append(graph.origin[e])
-    return dist
-
-
 def random_closed_word(group: GbsGroup, rng: random.Random, max_edges: int,
                        exp_bound: int, nontrivial=True):
     """Random canonical closed word: a random tree-constrained edge walk
     with random transversal residues and trailing exponent."""
     graph = group.graph
-    dist = _distances_to(graph, group.base)
+    dist = {v: len(p) for v, p in paths_from(graph, group.base).items()}
     for _ in range(1000):
         length = rng.randint(0, max_edges)
         items = [0]

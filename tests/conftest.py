@@ -35,3 +35,32 @@ def two_vertex():
 @pytest.fixture(scope="session")
 def chain3():
     return GbsGroup.from_text(CHAIN3_TEXT)
+
+
+def random_graph_text(rng):
+    """A random connected graph in the text format: 1-5 vertices, a random
+    spanning tree plus up to three extra edges (loops and parallel edges
+    allowed), alphas in +-{1..6}, declared edges in shuffled order; the tree
+    and the base are declared about half the time each."""
+    verts = [f"V{i}" for i in range(rng.randint(1, 5))]
+    ends, tree = [], []
+    for i in range(1, len(verts)):
+        pair = [verts[i], verts[rng.randrange(i)]]
+        rng.shuffle(pair)
+        tree.append(len(ends))
+        ends.append(pair)
+    for _ in range(rng.randint(0, 3)):
+        ends.append([rng.choice(verts), rng.choice(verts)])
+    order = list(range(len(ends)))
+    rng.shuffle(order)
+    name = {idx: f"e{k}" for k, idx in enumerate(order)}
+    lines = [f"vertex {v}" for v in verts]
+    for idx in order:
+        o, t = ends[idx]
+        af, ab = (rng.randint(1, 6) * rng.choice((1, 1, -1)) for _ in range(2))
+        lines.append(f"edge {name[idx]} : {o} -> {t} alpha {af} {ab}")
+    if tree and rng.random() < 0.5:
+        lines.append("tree " + " ".join(name[i] for i in tree))
+    if rng.random() < 0.5:
+        lines.append(f"base {rng.choice(verts)}")
+    return "\n".join(lines) + "\n"

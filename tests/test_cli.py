@@ -98,6 +98,9 @@ def test_exit_codes(tmp_path):
     r = run("reduce", BS23, f"g[y]^{MAX_EDGE_LENGTH + 1}")
     assert r.returncode == 2, r.stdout
     assert "edge-length cap" in r.stderr and "Traceback" not in r.stderr
+    r = run("reduce", BS23, "g[y]^2^3")
+    assert r.returncode == 2, r.stdout
+    assert "misplaced exponent" in r.stderr and r.stdout == ""
     for word_bound, exp_bound in (("1", "-1"), ("-1", "2")):
         r = run("pingpong", BS23, "--edge", "y", "-L", "1",
                 "--word-bound", word_bound, "--exp-bound", exp_bound)

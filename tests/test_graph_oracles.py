@@ -1,0 +1,149 @@
+"""The BFS helper, spanning trees, decompositions and the name resolver
+against brute-force oracles on seeded random graphs."""
+
+import random
+
+import pytest
+
+from gbs.graphs import (Decomposition, GraphError, compute_spanning_tree,
+                        decompose, paths_from, parse_graph)
+
+from conftest import random_graph_text
+
+INF = float("inf")
+
+
+def _graphs(seed=7, count=200):
+    rng = random.Random(seed)
+    return [(text, *parse_graph(text))
+            for text in (random_graph_text(rng) for _ in range(count))]
+
+
+def test_generator_covers_the_shapes():
+    graphs = _graphs()
+    loops = parallel = negative = declared = computed = 0
+    for text, graph, spanning in graphs:
+        ends = [(graph.origin[e], graph.terminus[e])
+                for e in range(0, graph.n_edges, 2)]
+        loops += any(o == t for o, t in ends)
+        parallel += len({frozenset(p) for p in ends}) < len(ends)
+        negative += any(a < 0 for a in graph.alpha)
+        declared += "tree " in text
+        computed += "tree " not in text and graph.n_vertices > 1
+    assert {g.n_vertices for _, g, _ in graphs} == {1, 2, 3, 4, 5}
+    assert min(loops, parallel, negative, declared, computed) >= 5
+
+
+def _scan_bfs_tree(graph, base):
+    """Breadth-first search that scans every edge for every vertex."""
+    seen, tree, queue = {base}, set(), [base]
+    while queue:
+        v = queue.pop(0)
+        for e in range(graph.n_edges):
+            if graph.origin[e] == v and graph.terminus[e] not in seen:
+                seen.add(graph.terminus[e])
+                tree |= {e, e ^ 1}
+                queue.append(graph.terminus[e])
+    return frozenset(tree)
+
+
+def test_spanning_tree_matches_scanning_bfs():
+    for _, graph, _ in _graphs():
+        for v in range(graph.n_vertices):
+            assert graph.edges_from(v) == tuple(
+                e for e in range(graph.n_edges) if graph.origin[e] == v)
+        for base in range(graph.n_vertices):
+            assert compute_spanning_tree(graph, base) == _scan_bfs_tree(graph, base)
+
+
+def _floyd_warshall(graph, edges):
+    n = graph.n_vertices
+    d = [[0 if i == j else INF for j in range(n)] for i in range(n)]
+    for e in edges:
+        o, t = graph.origin[e], graph.terminus[e]
+        if o != t:
+            d[o][t] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+def _check_paths(graph, source, paths, edges):
+    for v, path in paths.items():
+        at = source
+        for e in path:
+            assert e in edges and graph.origin[e] == at
+            at = graph.terminus[e]
+        assert at == v
+
+
+def test_path_lengths_match_floyd_warshall():
+    for _, graph, spanning in _graphs():
+        every = range(graph.n_edges)
+        full = _floyd_warshall(graph, every)
+        tree = _floyd_warshall(graph, spanning.tree_edges)
+        for s in range(graph.n_vertices):
+            paths = paths_from(graph, s)
+            _check_paths(graph, s, paths, every)
+            assert {v: len(p) for v, p in paths.items()} == {
+                v: full[s][v] for v in range(graph.n_vertices)}
+            # inside the maximal subtree the path is the unique tree path
+            paths = paths_from(graph, s, spanning.tree_edges)
+            _check_paths(graph, s, paths, spanning.tree_edges)
+            assert {v: len(p) for v, p in paths.items()} == {
+                v: tree[s][v] for v in range(graph.n_vertices)}
+
+
+def _union_find_components(graph, skip_pair):
+    parent = list(range(graph.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in range(graph.n_edges):
+        if e // 2 != skip_pair:
+            parent[find(graph.origin[e])] = find(graph.terminus[e])
+    comps = {}
+    for v in range(graph.n_vertices):
+        comps.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in comps.values()}
+
+
+def test_decompose_matches_union_find():
+    kinds = set()
+    for _, graph, _ in _graphs():
+        for e in range(graph.n_edges):
+            dec = decompose(graph, e)
+            comps = _union_find_components(graph, e // 2)
+            kinds.add(dec.kind)
+            assert dec.edge_pair == (e, e ^ 1)
+            assert dec.kind == (Decomposition.HNN if len(comps) == 1
+                                else Decomposition.AMALGAM)
+            assert {vs for vs, _ in dec.components} == comps
+            assert graph.origin[e] in dec.components[0][0]
+            for vs, es in dec.components:
+                assert es == {x for x in range(graph.n_edges)
+                              if x // 2 != e // 2 and graph.origin[x] in vs}
+    assert kinds == {Decomposition.HNN, Decomposition.AMALGAM}
+
+
+def test_resolver_names_and_indices():
+    for _, graph, _ in _graphs(count=20):
+        for e in range(graph.n_edges):
+            assert graph.edge_id(e) == e
+            assert graph.edge_id(graph.edge_name(e)) == e
+        for v, name in enumerate(graph.vertices):
+            assert graph.vertex_id(v) == v
+            assert graph.vertex_id(name) == v
+        for bad in (-1, graph.n_edges, graph.n_edges + 5):
+            with pytest.raises(GraphError, match="unknown edge index"):
+                graph.edge_id(bad)
+            with pytest.raises(GraphError, match="unknown edge index"):
+                decompose(graph, bad)
+        for bad in (-1, graph.n_vertices):
+            with pytest.raises(GraphError, match="unknown vertex index"):
+                graph.vertex_id(bad)

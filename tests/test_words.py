@@ -82,14 +82,17 @@ def test_power_cap(bs23, gbs2):
     assert bs23.from_string(f"g[y]^{cap}").edge_length == cap
     for group, text in ((bs23, f"g[y]^{cap + 1}"), (bs23, f"g[~y]^-{cap + 1}"),
                         (bs23, f"a[P]*g[y]^{cap + 1}*a[P]"),
-                        (bs23, f"g[y]^2^{cap // 2 + 1}"),
                         (gbs2, f"g[y]^{cap // 2 + 1}")):   # g[y] = y ~w there
         with pytest.raises(WordError, match="edge-length cap"):
             group.from_string(text)
     # powers of a[P] keep their edge length and stay uncapped
     assert bs23.from_string(f"a[P]^{10 ** 30}").edge_length == 0
     assert gbs2.from_string(f"a[Q]^{cap + 1}").edge_length == 2
-    assert gbs2.from_string(f"a[Q]^3^{cap + 1}").edge_length == 2
+    # one exponent per factor: a chained power is a syntax error, capped or not
+    for group, text in ((bs23, f"g[y]^2^{cap // 2 + 1}"),
+                        (gbs2, f"a[Q]^3^{cap + 1}")):
+        with pytest.raises(WordError, match="misplaced exponent"):
+            group.from_string(text)
     with pytest.raises(WordError, match="exponent too long"):
         bs23.from_string("a[P]^" + "9" * 5000)
 
