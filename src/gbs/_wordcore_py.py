@@ -73,8 +73,10 @@ def inv_items(items):
 def mul_items(a, b, alpha):
     """Product of two canonical words, canonical output.
 
-    Cancellation can only start at the seam, so the cost is proportional to
-    ``len(b)`` plus the cancelled stretch, not to ``len(a)``.
+    Cancellation can only start at the seam, and ``b`` is canonical past it,
+    so the carry sweep stops at the first residue it leaves unchanged.  The
+    cost is an O(len(a)) copy of ``a``, plus the cancelled stretch, plus the
+    carry stretch.
     """
     out = list(a)
     nb = len(b)
@@ -101,8 +103,9 @@ def mul_items(a, b, alpha):
         m = ab if ab > 0 else -ab
         r0 = out[j - 1]
         rho = r0 % m
-        if rho != r0:
-            out[j - 1] = rho
-            out[j + 1] += alpha[e] * ((r0 - rho) // ab)
+        if rho == r0:
+            break
+        out[j - 1] = rho
+        out[j + 1] += alpha[e] * ((r0 - rho) // ab)
         j += 2
     return out

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
+Exit codes: 0 success, 1 usage error, 2 input read/parse/validation error,
 3 verification failure (a ping-pong counterexample, an averaging norm
 estimate above its bound, or a power iteration that did not converge, since
 a norm that was not established is never a pass).  Verdicts that merely
@@ -65,17 +65,20 @@ def _build_parser() -> _Parser:
 
 
 def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GraphError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_graph(text)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except FileNotFoundError as exc:
-        print(f"gbs: {exc}", file=sys.stderr)
-        return 2
     except (GraphError, WordError, pingpong.PingPongError,
             opsim.OpsimError) as exc:
         print(f"gbs: {exc}", file=sys.stderr)

@@ -4,6 +4,10 @@ Formal group-algebra elements keep exact rational coefficients until matrix
 assembly; operators act on the span of a finite ball of group elements, so
 every norm estimate is a compression and therefore a lower bound on the
 untruncated operator norm.
+
+numpy and scipy are imported inside the functions that compute, so importing
+this module (and with it ``gbs.cli``) stays free of the numeric stack; only
+``gbs normest`` and the numeric API load it.
 """
 
 from __future__ import annotations
@@ -11,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.sparse import csr_matrix
+from typing import TYPE_CHECKING
 
 from gbs.pingpong import Ce2Data, averaging_elements
 from gbs.words import GbsGroup, GroupElement
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class OpsimError(ValueError):
@@ -218,6 +223,9 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     the largest edge length in the ball, g x has no position in the ball, and
     the pair is skipped without forming the product.
     """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
     top = max(ball.by_length, default=0)
     rows, cols, vals = [], [], []
     for g, c in x.terms.items():
@@ -244,6 +252,8 @@ def _power_iteration(mat: csr_matrix, tol: float, max_iter: int, seed: int):
     bound at every step.  The stop rule extrapolates the geometric tail of
     the increments so the returned value is within the relative tolerance.
     """
+    import numpy as np
+
     n = mat.shape[1]
     if n == 0 or mat.nnz == 0:
         return 0.0, 0
@@ -367,6 +377,8 @@ def ps_inequality_check(trials: int, dim: int, seed: int = 42,
                         slack: float = 1e-9) -> PsReport:
     """Random instances of |<T xi, xi>| <= 2 ||T|| ||q xi|| for self-adjoint
     T with (1-q) T (1-q) = 0 and a coordinate projection q."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     passed = True

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gbs.words import MAX_EDGE_LENGTH
 
 from conftest import FIXTURES, bs_text
@@ -113,6 +115,61 @@ def test_exit_codes(tmp_path):
         r = run("normest", BS23, "--edge", "y", "--radius", "2", "--tol", tol)
         assert r.returncode == 2, r.stdout
         assert "tol must be finite and positive" in r.stderr
+    r = run("tree", str(tmp_path), "--radius", "1")
+    assert r.returncode == 2, r.stdout
+    assert "Is a directory" in r.stderr and "Traceback" not in r.stderr
+    binary = tmp_path / "utf16.gbs"
+    binary.write_bytes(b"\xff\xfevertex P\n")
+    r = run("check", str(binary))
+    assert r.returncode == 2, r.stdout
+    assert "not UTF-8" in r.stderr and "Traceback" not in r.stderr
+
+
+_NUMERIC_PROBE = """\
+import sys
+code = 0
+{statement}
+loaded = {{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}}
+sys.stderr.write("\\n" + ",".join(sorted(loaded)))
+sys.exit(code)
+"""
+_MAIN = "from gbs import cli\ncode = cli.main(sys.argv[1:])"
+
+
+@pytest.mark.parametrize("statement, argv", [
+    ("import gbs", ()),
+    ("import gbs.cli", ()),
+    (_MAIN, ("check", BS23)),
+    (_MAIN, ("indices", BS23)),
+    (_MAIN, ("reduce", BS23, "g[y]*a[P]^3*g[y]^-1")),
+    (_MAIN, ("modular", BS23, "g[y]")),
+    (_MAIN, ("tree", BS23, "--radius", "2", "--format", "json")),
+    (_MAIN, ("tree", BS23, "--radius", "2", "--format", "dot")),
+    (_MAIN, ("pingpong", BS23, "--edge", "y", "-L", "1",
+             "--word-bound", "1", "--exp-bound", "2")),
+], ids=["import-gbs", "import-cli", "check", "indices", "reduce", "modular",
+        "tree-json", "tree-dot", "pingpong"])
+def test_exact_commands_leave_numeric_stack_unloaded(statement, argv):
+    """Only the norm experiment computes in floating point; every other
+    command, and importing the package or the CLI, must not load numpy or
+    scipy (a fresh interpreter per case, so nothing is loaded already)."""
+    code = _NUMERIC_PROBE.format(statement=statement)
+    r = subprocess.run([sys.executable, "-c", code, *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.rsplit("\n", 1)[-1] == ""
+
+
+def test_normest_loads_numeric_stack():
+    code = _NUMERIC_PROBE.format(statement=_MAIN)
+    r = subprocess.run([sys.executable, "-c", code, "normest", BS23,
+                        "--edge", "y", "--radius", "2", "--m", "4,9"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.rsplit("\n", 1)[-1] == "numpy,scipy"
+    assert r.stdout == ("m,bound,estimate,ball_size,iterations\n"
+                        "4,1.41421356237,0,17,0\n"
+                        "9,0.942809041582,0,17,0\n")
 
 
 def test_normest_nonconvergence_exits_3(monkeypatch, capsys):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from gbs import _wordcore_py as pure
 from gbs import wordcore
+from gbs.graphs import paths_from
 from gbs.words import (MAX_EDGE_LENGTH, GbsGroup, PathWord, WordError,
                        closed_words, random_closed_word)
 
@@ -245,3 +247,47 @@ def test_kernel_mul_matches_full_canonicalization(bs23, gbs2):
             joined[-1] += b.items[0]
             joined.extend(b.items[1:])
             assert seam == wordcore.canon_items(joined, alpha)
+
+
+def _random_canonical(group, rng, max_edges, exp):
+    """Canonical closed word from a random edge walk that returns to the base
+    along the tree, with random exponents; built with ``canon_items`` only,
+    so it never calls the ``mul_items`` under test."""
+    graph = group.graph
+    back = paths_from(graph, group.base, group.spanning.tree_edges)
+    v = group.base
+    items = [rng.randint(-exp, exp)]
+    for _ in range(rng.randint(0, max_edges)):
+        e = rng.choice(graph.edges_from(v))
+        items += [e, rng.randint(-exp, exp)]
+        v = graph.terminus[e]
+    for e in reversed(back[v]):
+        items += [e ^ 1, rng.randint(-exp, exp)]
+    return pure.canon_items(items, graph.alpha)
+
+
+def test_mul_items_matches_canon_of_joined_word(bs23, gbs2, two_vertex,
+                                                chain3):
+    """The carry sweep of ``mul_items`` stops at the first unchanged residue;
+    the product must still equal the full canonicalization of the joined
+    word.  Huge seam exponents drive carries through the whole of ``b`` on
+    the HNN fixtures (on the amalgams a carry never passes a back-and-forth
+    pair, since it adds a multiple of the next modulus)."""
+    rng = random.Random(31)
+    longest = through = 0
+    for group in (bs23, gbs2, two_vertex, chain3):
+        alpha = group.graph.alpha
+        for trial in range(1000):
+            a = _random_canonical(group, rng, 12, 6)
+            b = _random_canonical(group, rng, 60, 6)
+            if trial % 3 == 0:
+                a[-1] += rng.choice((-1, 1)) * 10 ** rng.randint(3, 60)
+            joined = a[:-1] + [a[-1] + b[0]] + b[1:]
+            got = pure.mul_items(list(a), list(b), alpha)
+            assert got == pure.canon_items(list(joined), alpha)
+            if len(got) == len(joined) and len(b) > 1:
+                tail = range(len(a) - 1, len(got) - 1, 2)
+                longest = max(longest, sum(got[k] != joined[k] for k in tail))
+                through += got[-3] != joined[-3]
+    # carry chains many pairs long, and into the residue before b's last edge
+    assert longest >= 15 and through >= 200, (longest, through)
