@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 input read/parse/validation error,
 3 verification failure (a ping-pong counterexample, an averaging norm
-estimate above its bound, or a power iteration that did not converge, since
+estimate above its bound, or a norm estimate that did not converge, since
 a norm that was not established is never a pass).  Verdicts that merely
 report "conditions not met" are data and exit 0.
 """

@@ -13,6 +13,7 @@ this module (and with it ``gbs.cli``) stays free of the numeric stack; only
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -29,7 +30,7 @@ class OpsimError(ValueError):
 
 
 class NormConvergenceError(RuntimeError):
-    """Power iteration hit max_iter; carries the last estimate."""
+    """The norm solver hit max_iter; carries the last estimate."""
 
     def __init__(self, last_estimate, iterations):
         self.last_estimate = last_estimate
@@ -218,6 +219,9 @@ def lambda_operator(g: GroupElement, ball: Ball) -> BallOperator:
 def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     """Sum of coefficient-weighted translation operators.
 
+    Coefficients must be real (OpsimError otherwise): the norm solver
+    multiplies by M^T, which is the adjoint of M only for a real M.
+
     A product of canonical words cancels only at the seam (Britton's lemma),
     so edge_len(g x) >= |edge_len(g) - edge_len(x)|.  When that gap exceeds
     the largest edge length in the ball, g x has no position in the ball, and
@@ -229,6 +233,8 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     top = max(ball.by_length, default=0)
     rows, cols, vals = [], [], []
     for g, c in x.terms.items():
+        if not isinstance(c, numbers.Real):
+            raise OpsimError(f"coefficients must be real, got {c!r}")
         fc = float(c)
         glen = g.edge_length
         for length, js in ball.by_length.items():
@@ -246,11 +252,24 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
 
 
 def _power_iteration(mat: csr_matrix, tol: float, max_iter: int, seed: int):
-    """Largest singular value via power iteration on M^T M.
+    """Largest singular value of a real M by symmetric Lanczos on A = M^T M.
 
-    The running estimate ||M v_k|| is monotone nondecreasing, hence a lower
-    bound at every step.  The stop rule extrapolates the geometric tail of
-    the increments so the returned value is within the relative tolerance.
+    The name is historical: the body was power iteration once.  Returns
+    (sigma, steps); each step is one product with M and one with M^T, and
+    no reorthogonalisation is done, so memory stays O(n).
+
+    At checkpoints k = 1, then k += max(1, k // 4), theta is the top
+    eigenvalue of the k x k tridiagonal T_k.  By Cauchy interlacing theta is
+    nondecreasing in k and at most lambda_max(A), and in finite precision
+    Ritz values stay inside the spectrum up to O(eps ||A||) (Paige), so
+    sigma = sqrt(theta) is a lower bound at every checkpoint.  The run stops
+    when the residual bound beta_k |s_k| (s_k the last component of T_k's top
+    eigenvector) is at most tol * theta / 2: an eigenvalue of A then lies
+    within that bound of theta (the top one, for a start vector with a
+    component along its eigenvector, which a random start has), so sigma is
+    within relative accuracy tol.  It also stops when beta vanishes (an
+    invariant subspace) or when theta did not grow since the previous
+    checkpoint, which bounds the steps for a tol below the rounding level.
     """
     import numpy as np
 
@@ -260,35 +279,36 @@ def _power_iteration(mat: csr_matrix, tol: float, max_iter: int, seed: int):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    v_prev = np.zeros(n)
     mt = mat.T.tocsr()
-    sigma_prev = 0.0
-    delta_prev = None
-    stall = 0
-    for it in range(1, max_iter + 1):
-        w = mat @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return 0.0, it
-        u = mt @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return sigma, it
-        v = u / nu
-        delta = abs(sigma - sigma_prev)
-        if delta == 0.0:
-            stall += 1
-            if stall >= 2:
-                return sigma, it
-        else:
-            stall = 0
-            if delta_prev is not None and delta < delta_prev:
-                ratio = delta / delta_prev
-                tail = delta * ratio / (1.0 - ratio)
-                if tail <= 0.25 * tol * max(sigma, 1e-300):
-                    return sigma, it
-        delta_prev = delta if delta > 0 else delta_prev
-        sigma_prev = sigma
-    raise NormConvergenceError(sigma_prev, max_iter)
+    eps = float(np.finfo(float).eps)
+    alphas, betas = [], []
+    beta = 0.0
+    theta = theta_prev = 0.0
+    check = 1
+    for k in range(1, max_iter + 1):
+        w = mt @ (mat @ v)
+        alpha = float(v @ w)
+        w -= alpha * v
+        w -= beta * v_prev
+        # A v = beta v_prev + alpha v + w: a w at rounding level next to
+        # the other two terms means an invariant subspace.
+        w_norm = float(np.linalg.norm(w))
+        vanished = w_norm <= eps * (alpha + beta)
+        beta = w_norm
+        alphas.append(alpha)
+        if k == check or k == max_iter or vanished:
+            check = k + max(1, k // 4)
+            ritz, vecs = np.linalg.eigh(
+                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = max(float(ritz[-1]), 0.0)
+            if (vanished or beta * abs(vecs[-1, -1]) <= tol * theta / 2
+                    or theta <= theta_prev):
+                return math.sqrt(theta), k
+            theta_prev = theta
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    raise NormConvergenceError(math.sqrt(theta), max_iter)
 
 
 def _check_tol(tol: float) -> None:
@@ -298,7 +318,11 @@ def _check_tol(tol: float) -> None:
 
 def norm_estimate(op: BallOperator, tol: float = 1e-6,
                   max_iter: int = 100000, seed: int = 42) -> float:
+    """Lower bound on ||op|| within relative accuracy tol (Lanczos steps,
+    see ``_power_iteration``); NormConvergenceError after max_iter steps."""
     _check_tol(tol)
+    if max_iter < 1:
+        raise OpsimError(f"max_iter must be at least 1, got {max_iter!r}")
     value, _ = _power_iteration(op.matrix, tol, max_iter, seed)
     return value
 
@@ -309,7 +333,7 @@ class DecayRow:
     bound: float
     estimate: float
     ball_size: int
-    iterations: int
+    iterations: int     # Lanczos steps of the norm solver
 
     @property
     def passed(self) -> bool:

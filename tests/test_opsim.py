@@ -243,10 +243,10 @@ def test_norm_line_spectrum(bs23):
         half = lam(a, 0.5) + lam(a.inverse(), 0.5)
         est = opsim.norm_estimate(opsim.operator_of(half, line), tol=1e-6)
         expected = math.cos(math.pi / (2 * radius + 2))
-        assert abs(est - expected) <= 1e-6
+        assert abs(est - expected) <= 1e-10
         # dense eigensolver oracle
         dense = opsim.operator_of(half, line).matrix.toarray()
-        assert abs(est - np.max(np.abs(np.linalg.eigvalsh(dense)))) <= 1e-6
+        assert abs(est - np.max(np.abs(np.linalg.eigvalsh(dense)))) <= 1e-10
 
 
 def test_norm_monotone_in_radius(bs23):
@@ -315,6 +315,139 @@ def test_power_iteration_rectangular():
                                             10 ** 5, 42)
         assert iters > 0
         assert est == pytest.approx(np.linalg.norm(dense, 2), rel=1e-9)
+
+
+def _probe(group, vertex):
+    """f = lam(g) + lam(g^-1) for g = t a t^-1, with t the stable letter y."""
+    t = group.edge_generator("y")
+    g = t * group.vertex_generator(vertex) * t.inverse()
+    return g, lam(g) + lam(g.inverse())
+
+
+_PROBE_BALLS = [("bs23", "P", r) for r in range(2, 9)] + \
+    [("gbs2", "Q", r) for r in range(3, 7)]
+
+
+def _component_norm(mat):
+    """||M|| as the largest spectral norm of a block over the connected
+    components of M's nonzero pattern (union-find)."""
+    coo = mat.tocoo()
+    parent = list(range(mat.shape[0]))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(coo.row.tolist(), coo.col.tolist()):
+        parent[find(i)] = find(j)
+    comps = {}
+    for i in set(coo.row.tolist()) | set(coo.col.tolist()):
+        comps.setdefault(find(i), []).append(i)
+    return max(np.linalg.norm(mat[c][:, c].toarray(), 2)
+               for c in comps.values())
+
+
+def _longest_run(g, ball):
+    """Longest run x, g x, g^2 x, ... inside the ball."""
+    ginv = g.inverse()
+    longest = 0
+    for x in ball.elements:
+        if ball.position(ginv * x) is not None:
+            continue
+        length, y = 0, x
+        while ball.position(y) is not None:
+            length += 1
+            y = g * y
+        longest = max(longest, length)
+    return longest
+
+
+@pytest.mark.parametrize("name, vertex, radius", _PROBE_BALLS)
+def test_norm_matches_component_and_path_oracles(request, name, vertex,
+                                                 radius):
+    group = request.getfixturevalue(name)
+    g, f = _probe(group, vertex)
+    ball = opsim.enumerate_ball(group, None, radius)
+    op = opsim.operator_of(f, ball)
+    est = opsim.norm_estimate(op, tol=1e-12, max_iter=1000)
+    exact = _component_norm(op.matrix)
+    assert abs(est - exact) <= 1e-10 * exact
+    assert est <= exact * (1 + 1e-12)
+    # f's operator is a disjoint union of paths, one per run of <g>-orbit
+    run = _longest_run(g, ball)
+    if (name, radius) in {("bs23", 8), ("gbs2", 4)}:
+        assert run == {"bs23": 21, "gbs2": 7}[name]
+    assert est == pytest.approx(2 * math.cos(math.pi / (run + 1)), rel=1e-12)
+
+
+def _free_ball_adjacency(m, radius):
+    """Adjacency / m of the radius-R ball of the Cayley tree of F_m: the
+    root has 2m children, every other inner vertex 2m - 1."""
+    parent = np.zeros(0, dtype=np.int64)
+    level = np.array([0])
+    for depth in range(radius):
+        start = len(parent) + 1
+        parent = np.concatenate(
+            [parent, np.repeat(level, 2 * m if depth == 0 else 2 * m - 1)])
+        level = np.arange(start, len(parent) + 1)
+    size = len(parent) + 1
+    child = np.arange(1, size)
+    rows = np.concatenate([child, parent])
+    cols = np.concatenate([parent, child])
+    vals = np.full(len(rows), 1.0 / m)
+    return csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+@pytest.mark.parametrize("m, radius", [(2, 6), (4, 4), (9, 3), (16, 2),
+                                       (2, 9)])
+def test_norm_matches_free_ball_tridiagonal(m, radius):
+    mat = _free_ball_adjacency(m, radius)
+    assert mat.shape[0] == 1 + 2 * m * ((2 * m - 1) ** radius - 1) // (2 * m - 2)
+    off = [math.sqrt(2 * m)] + [math.sqrt(2 * m - 1)] * (radius - 1)
+    tri = np.diag(off, 1) + np.diag(off, -1)
+    exact = float(np.linalg.eigvalsh(tri)[-1]) / m
+    est, _ = opsim._power_iteration(mat, 1e-12, 1000, 42)
+    assert est == pytest.approx(exact, rel=1e-12)
+    assert est <= exact * (1 + 1e-12)
+
+
+def test_norm_steps_are_bounded(bs23):
+    # criterion 4's f operator; power iteration took 2,186 steps on it
+    _, f = _probe(bs23, "P")
+    op = opsim.operator_of(f, opsim.enumerate_ball(bs23, None, 8))
+    exact = 2 * math.cos(math.pi / 22)
+    est, steps = opsim._power_iteration(op.matrix, 1e-6, 1000, 42)
+    assert steps <= 150
+    assert est == pytest.approx(exact, rel=1e-12)
+    # a tol below the rounding level still stops, by the stall rule
+    dense = np.random.default_rng(5).standard_normal((300, 200))
+    for mat, exact in ((op.matrix, exact),
+                       (csr_matrix(dense), np.linalg.norm(dense, 2))):
+        est, steps = opsim._power_iteration(mat, 1e-300, 1000, 42)
+        assert steps <= 200
+        assert est == pytest.approx(exact, rel=1e-12)
+
+
+def test_max_iter_must_be_positive(bs23):
+    ball = opsim.enumerate_ball(bs23, None, 1)
+    op = opsim.lambda_operator(bs23.identity(), ball)
+    for max_iter in (0, -5):
+        with pytest.raises(opsim.OpsimError, match="max_iter"):
+            opsim.norm_estimate(op, max_iter=max_iter)
+    assert opsim.norm_estimate(op, max_iter=1) == pytest.approx(1.0)
+
+
+def test_operator_of_rejects_complex_coefficients(bs23):
+    ball = opsim.enumerate_ball(bs23, None, 1)
+    e = bs23.identity()
+    for c in (1j, 1 + 0j, np.complex128(2 - 1j)):
+        with pytest.raises(opsim.OpsimError, match="real"):
+            opsim.operator_of(lam(e, c), ball)
+    for c in (2, Fraction(1, 3), 0.5, np.float64(1.5), np.int64(3)):
+        op = opsim.operator_of(lam(e, c), ball)
+        assert op.matrix[0, 0] == float(c)
 
 
 def test_tol_must_be_finite_and_positive(bs23):
