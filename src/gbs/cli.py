@@ -46,11 +46,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--radius", type=int, default=6)
     sp.add_argument("--format", choices=("dot", "json"), default="dot")
 
-    sp = add("pingpong", "exhaustive conjugation check, JSON report")
+    sp = add("pingpong", "ping-pong inclusions proven for every f, JSON report")
     sp.add_argument("--edge", required=True)
-    sp.add_argument("-L", type=int, required=True, dest="big_l")
-    sp.add_argument("--word-bound", type=int, required=True)
-    sp.add_argument("--exp-bound", type=int, required=True)
+    sp.add_argument("-L", type=int, required=True, dest="big_l",
+                    help="edge-letter bound of g")
+    sp.add_argument("--word-bound", type=int, required=True,
+                    help="edge-letter bound of the f counted in pairs_checked"
+                    " (the proof covers every f)")
+    sp.add_argument("--exp-bound", type=int, required=True,
+                    help="exponent bound of g and of the counted f")
 
     sp = add("normest", "averaging norm decay table as CSV")
     sp.add_argument("--edge", required=True)

@@ -92,38 +92,40 @@ def averaging_elements(data: Ce2Data, count: int):
     return out
 
 
-def _sign_prefix_verdict(items, edge: int, j: int, stop: int):
-    """Read the first ``stop`` edge letters of ``items`` against the S'_j
-    sign pattern along ``edge``: True once all 2j+2 signs match, False at
-    the first mismatch, None when the letters run out first."""
-    pair = edge // 2
-    need = 2 * j + 2
-    k = 0
-    for i in range(1, 2 * stop, 2):
-        x = items[i]
-        if x // 2 != pair:
-            continue
-        sign = 1 if x == edge else -1
-        if k < 2 * j:
-            if sign != (-1 if k % 2 == 0 else 1):
-                return False
-        else:
-            if sign != -1:
-                return False
-        k += 1
-        if k == need:
-            return True
-    return None
+def _sj_letters(edge: int, j: int):
+    """The S'_j pattern (-1, +1)^j (-1, -1) as letters (+1 is ``edge``)."""
+    bar = edge ^ 1
+    return [bar, edge] * j + [bar, bar]
 
 
-def _prefix_matches_Sj(items, edge: int, j: int) -> bool:
-    return _sign_prefix_verdict(items, edge, j, len(items) // 2) is True
+def _head(letters, edge: int, count: int):
+    """The first ``count`` letters of ``letters`` from the pair of ``edge``."""
+    return list(islice(filter({edge, edge ^ 1}.__contains__, letters), count))
 
 
 def in_Sj(f: GroupElement, data: Ce2Data, j: int) -> bool:
     """Membership in S'_j: y-length >= 2j+2 and the sign prefix is j copies
     of (-1, +1) followed by (-1, -1)."""
-    return _prefix_matches_Sj(f.items, data.edge, j)
+    pattern = _sj_letters(data.edge, j)
+    return _head(f.items[1::2], data.edge, len(pattern)) == pattern
+
+
+def _sj_decider(edge: int, j: int):
+    """A function of the edge letters of v that decides v (pi_1 minus S'_j)
+    inside S'_j: None when it holds for every f, else k with f = v^k
+    failing, 0 (f = 1) when v is outside S'_j and -1 (f = v^-1) when v^-1
+    is.  v^-1's letters are v's reversed and barred."""
+    pattern, barred = _sj_letters(edge, j), _sj_letters(edge ^ 1, j)
+    in_pair = {edge, edge ^ 1}.__contains__
+    p = len(pattern)
+
+    def failing_power(letters):
+        if list(islice(filter(in_pair, letters), p)) != pattern:
+            return 0
+        if list(islice(filter(in_pair, reversed(letters)), p)) != barred:
+            return -1
+        return None
+    return failing_power
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,7 @@ class PingPongReport:
     f_count: int
     excluded_g: int
     j_count: int
-    seam_decided: int          # pairs settled by the stable prefix of z g z^-1
-    product_decided: int       # pairs settled by computing the product
+    certified: int             # (j, g) proven for every f outside S'_j
 
     def to_json_dict(self):
         return {
@@ -148,24 +149,26 @@ class PingPongReport:
 
 def verify_pingpong(data: Ce2Data, word_bound: int,
                     exponent_bound: int) -> PingPongReport:
-    """Exhaustively check z_j g z_j^-1 f in S'_j.
+    """Prove z_j g z_j^-1 f in S'_j for every f outside S'_j, for g over
+    the canonical closed words with at most L edge letters (a cap on the
+    y-length too) and trailing exponent within exponent_bound, minus <a^N>.
 
-    g ranges over canonical closed words with at most L edge letters and
-    trailing exponent bounded by exponent_bound, minus <a^N>; f over words
-    with at most word_bound edge letters, minus S'_j.  On graphs with tree
-    edges the letter bounds cap the total edge length (the y-length is then
-    automatically within the bound), which keeps the family finite.
+    Each (j, g) holds for every f iff v = z_j g z_j^-1 and v^-1 both lie in
+    S'_j.  Let s be the y-sign sequence of v, n = |s|, and P the S'_j
+    pattern, p = 2j+2.  By Britton's lemma (Lyndon-Schupp, Combinatorial
+    Group Theory, IV.2) a product v f of canonical words cancels only at
+    the seam, one letter from each side per pinch; if f cancels k y-letters
+    of v, then sig(v f) = s[:n-k] + sig(f)[k:] and sig(f)[:k] =
+    -reverse(s[n-k:]) = sig(v^-1)[:k].  For k <= n-p, v f keeps v's first p
+    signs; for k >= p, f starts like v^-1 and lies in S'_j.  A k strictly
+    between would overlap the head windows of v and v^-1 in two or more
+    letters, putting two consecutive +1 in P.  Conversely f = 1 fails when
+    v is outside S'_j, and f = v^-1 when v^-1 is.
 
-    Most pairs are decided without a product.  By Britton's lemma
-    (Lyndon-Schupp, Combinatorial Group Theory, IV.2) the product of two
-    canonical words cancels only at the seam, and each pinch consumes one
-    edge letter of the right factor.  So if every f in the pool has at most
-    fmax edge letters, the first edge_len(v) - fmax edge letters of
-    v = z_j g z_j^-1, with the exponents before them, appear unchanged in
-    every product v f.  When that stable prefix already carries the whole
-    S'_j sign pattern, every pair (g, f) passes and is counted as
-    seam-decided; otherwise the pairs are decided by products, which also
-    yields a real counterexample when a sign mismatches inside the prefix.
+    word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
+    certified before the first failure, of the number of f outside S'_j
+    with at most word_bound edge letters and trailing exponent within
+    exponent_bound.
     """
     if word_bound < 0 or exponent_bound < 0:
         raise PingPongError("word and exponent bounds must be nonnegative")
@@ -181,37 +184,30 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
             excluded += 1
             continue
         gs.append(list(items))
-    fs = [list(items) for items in closed_words(group, word_bound,
-                                                exponent_bound)]
+    f_letters = [items[1::2]
+                 for items in closed_words(group, word_bound, exponent_bound)]
 
-    pairs = 0
-    seam = 0
+    pairs = certified = 0
     counterexample = None
-    for j in range(1, len(data.z) + 1):
-        zj = list(data.z[j - 1].items)
-        zj_inv = list(data.z[j - 1].inverse().items)
-        f_pool = [f for f in fs if not _prefix_matches_Sj(f, data.edge, j)]
-        fmax = max((len(f) // 2 for f in f_pool), default=0)
+    for j, z in enumerate(data.z, 1):
+        zj, zj_inv = list(z.items), list(z.inverse().items)
+        pattern = _sj_letters(data.edge, j)
+        pool = sum(_head(letters, data.edge, len(pattern)) != pattern
+                   for letters in f_letters)
+        failing_power = _sj_decider(data.edge, j)
         for g in gs:
             v = wordcore.mul_items(wordcore.mul_items(zj, g, alpha),
                                    zj_inv, alpha)
-            if _sign_prefix_verdict(v, data.edge, j, len(v) // 2 - fmax):
-                pairs += len(f_pool)
-                seam += len(f_pool)
-                continue
-            for f in f_pool:
-                pairs += 1
-                u = wordcore.mul_items(v, f, alpha)
-                if not _prefix_matches_Sj(u, data.edge, j):
-                    counterexample = {
-                        "j": j,
-                        "g": str(GroupElement(group, g, _canonical=True)),
-                        "f": str(GroupElement(group, f, _canonical=True)),
-                        "product": str(GroupElement(group, u, _canonical=True)),
-                    }
-                    break
-            if counterexample:
+            k = failing_power(v[1::2])
+            if k is not None:
+                v = GroupElement(group, v, _canonical=True)
+                f = v ** k
+                counterexample = {
+                    "j": j, "g": str(GroupElement(group, g, _canonical=True)),
+                    "f": str(f), "product": str(v * f)}
                 break
+            certified += 1
+            pairs += pool
         if counterexample:
             break
 
@@ -220,11 +216,10 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
         passed=counterexample is None,
         counterexample=counterexample,
         g_count=len(gs),
-        f_count=len(fs),
+        f_count=len(f_letters),
         excluded_g=excluded,
         j_count=len(data.z),
-        seam_decided=seam,
-        product_decided=pairs - seam,
+        certified=certified,
     )
 
 

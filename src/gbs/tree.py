@@ -103,26 +103,6 @@ class TreeBall:
     def interior_vertices(self):
         return [v for v in self.vertices if not self.is_frontier(v)]
 
-    def is_tree(self) -> bool:
-        return len(self.edges) == len(self.vertices) - 1 and self._connected()
-
-    def _connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {i: [] for i in range(len(self.vertices))}
-        for a, b, _, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(self.vertices)
-
     def vertex_label(self, v: TreeVertex) -> str:
         name = self.group.graph.vertices[v.vertex]
         rep = path_string(self.group.graph, self.group.base, v.key)

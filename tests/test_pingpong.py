@@ -104,59 +104,97 @@ def test_verify_small_and_counts(ce2_bs23):
     assert rep.counterexample is None
     # identity and a^{+-9...} would be the only exclusions at this bound
     assert rep.excluded_g == 1
+    assert rep.certified == rep.g_count * rep.j_count
     assert rep.pairs_checked == rep.g_count * rep.f_count * rep.j_count
     assert rep.to_json_dict() == {
         "pairs_checked": rep.pairs_checked, "pass": True, "counterexample": None}
+
+
+def test_pairs_checked_skips_f_in_Sj(bs23):
+    # four edge letters reach S'_1, so the bounded pools differ by j
+    data = pingpong.build_ce2(bs23, "y", 0)
+    rep = pingpong.verify_pingpong(data, word_bound=4, exponent_bound=1)
+    fs = [GroupElement(bs23, f, _canonical=True)
+          for f in closed_words(bs23, 4, 1)]
+    pools = [sum(not pingpong.in_Sj(f, data, j) for f in fs)
+             for j in range(1, 10)]
+    assert rep.passed and rep.certified == rep.g_count * 9
+    assert pools[0] < len(fs) and pools[1:] == [len(fs)] * 8
+    assert rep.pairs_checked == rep.g_count * sum(pools)
 
 
 def test_verify_negative_control(ce2_bs23):
     bad = pingpong.make_negative_control(ce2_bs23)
     rep = pingpong.verify_pingpong(bad, word_bound=1, exponent_bound=2)
     assert not rep.passed
-    assert rep.counterexample is not None
     assert set(rep.counterexample) == {"j", "g", "f", "product"}
-    assert rep.product_decided >= 1
+    # v = g is too short for S'_1, so f = 1 fails at the first pair
+    assert rep.certified == 0 and rep.pairs_checked == 0
+    assert rep.counterexample["f"] == "1"
 
 
-def _brute_force(data, word_bound, exponent_bound):
-    """Reference verdict of verify_pingpong: one product and one S'_j test
-    for every pair, in the verifier's order.  Also checks, for each (j, g)
-    visited, that the stable-prefix verdict agrees with all of its pairs.
-    Returns ((pairs_checked, passed, counterexample), verdicts seen)."""
+def _starts_with_pattern(signs, j):
+    pattern = (-1, 1) * j + (-1, -1)
+    return tuple(signs[:len(pattern)]) == pattern
+
+
+# Lengths 2p+2 for j = 1, 2 and 2p, the shortest certified length, for j = 3.
+@pytest.mark.parametrize("j, max_len", [(1, 10), (2, 14), (3, 16)])
+def test_failing_power_matches_definition(j, max_len):
+    """The two-window rule against the literal all-f statement on every
+    sign sequence s of v = z g z^-1 up to max_len: f cancelling k y-letters
+    of v leaves s[:n-k] in the product and starts with -reverse(s[n-k:]),
+    so the inclusion holds for every f iff, for every k, one of the two
+    starts with the S'_j pattern."""
+    edge = 3                                # the reversal is letter 2
+    failing_power = pingpong._sj_decider(edge, j)
+    seen = set()
+    for n in range(max_len + 1):
+        for s in itertools.product((-1, 1), repeat=n):
+            letters = [edge if x == 1 else edge ^ 1 for x in s]
+            holds = all(
+                _starts_with_pattern(s[:n - k], j)
+                or _starts_with_pattern([-x for x in reversed(s[n - k:])], j)
+                for k in range(n + 1))
+            power = failing_power(letters)
+            # letters of another edge pair (0 and 1) are skipped
+            assert failing_power(
+                [y for x in letters for y in (0, x)] + [1]) == power
+            seen.add(power)
+            assert (power is None) == holds, s
+            if power == 0:              # f = 1: the product is v itself
+                assert not _starts_with_pattern(s, j)
+            elif power == -1:           # f = v^-1 lies outside S'_j
+                assert not _starts_with_pattern(
+                    [-x for x in reversed(s)], j)
+    assert seen == {None, 0, -1}
+
+
+def _brute_force_certified(data, rep, word_bound, exponent_bound):
+    """Check a report against one product and one S'_j test per bounded
+    pair: every (j, g) the report certifies (the first ``certified`` in the
+    verifier's order) passes every bounded f outside S'_j, and their pool
+    sizes add up to ``pairs_checked``.  Returns the (j, g) that comes next,
+    or None when the report certifies all of them."""
     group = data.group
-    alpha = group.graph.alpha
-    tvert = group.graph.terminus[data.edge]
 
     def el(items):
         return GroupElement(group, items, _canonical=True)
 
-    gs = [g for g in closed_words(group, data.L, exponent_bound)
-          if group.cyclic_membership(el(g), tvert, data.N) is None]
-    fs = list(closed_words(group, word_bound, exponent_bound))
+    tvert = group.graph.terminus[data.edge]
+    gs = [el(g) for g in closed_words(group, data.L, exponent_bound)]
+    gs = [g for g in gs if group.cyclic_membership(g, tvert, data.N) is None]
+    fs = [el(f) for f in closed_words(group, word_bound, exponent_bound)]
+    order = [(j, g) for j in range(1, len(data.z) + 1) for g in gs]
     pairs = 0
-    verdicts = set()
-    for j, z in enumerate(data.z, 1):
-        pool = [f for f in fs if not pingpong.in_Sj(el(f), data, j)]
-        fmax = max((len(f) // 2 for f in pool), default=0)
-        for g in gs:
-            v = list((z * el(g) * z.inverse()).items)
-            products = [el(wordcore.mul_items(v, list(f), alpha))
-                        for f in pool]
-            ok = [pingpong.in_Sj(u, data, j) for u in products]
-            verdict = pingpong._sign_prefix_verdict(
-                v, data.edge, j, len(v) // 2 - fmax)
-            verdicts.add(verdict)
-            if verdict is True:
-                assert all(ok)
-            elif verdict is False:
-                assert not any(ok)
-            if not all(ok):
-                i = ok.index(False)
-                return (pairs + i + 1, False, {
-                    "j": j, "g": str(el(g)), "f": str(el(pool[i])),
-                    "product": str(products[i])}), verdicts
-            pairs += len(pool)
-    return (pairs, True, None), verdicts
+    for j, g in order[:rep.certified]:
+        z = data.z[j - 1]
+        v = z * g * z.inverse()
+        pool = [f for f in fs if not pingpong.in_Sj(f, data, j)]
+        assert all(pingpong.in_Sj(v * f, data, j) for f in pool), (j, g)
+        pairs += len(pool)
+    assert pairs == rep.pairs_checked
+    return order[rep.certified] if rep.certified < len(order) else None
 
 
 def _random_product(data, rng, length):
@@ -169,7 +207,7 @@ def _random_product(data, rng, length):
 
 
 # On bs23 seeds 49 and 27 make the perturbed conjugator fail late (at j = 2
-# and j = 8), after thousands of seam-decided pairs.  On gbs2
+# and j = 8), after thousands of certified pairs.  On gbs2
 # random_closed_word never leaves the base vertex and yields only vertex
 # powers, so the all-random conjugators come from _random_product.
 @pytest.mark.parametrize("name, big_l, word_bound, exp_bound, seed", [
@@ -193,23 +231,33 @@ def test_verify_matches_brute_force(request, name, big_l, word_bound,
         replace(data, z=tuple(_random_product(data, rng, 16)
                               for _ in data.z)),
     ]
-    verdicts = set()
     outcomes = []
     for case in cases:
         rep = pingpong.verify_pingpong(case, word_bound, exp_bound)
-        expected, seen = _brute_force(case, word_bound, exp_bound)
-        assert (rep.pairs_checked, rep.passed, rep.counterexample) == expected
-        assert rep.seam_decided + rep.product_decided == rep.pairs_checked
-        verdicts |= seen
+        failing = _brute_force_certified(case, rep, word_bound, exp_bound)
+        assert rep.passed == (failing is None)
         outcomes.append(rep.passed)
+        if rep.passed:
+            assert rep.counterexample is None
+            continue
+        # the counterexample is the next pair, and it fails by a real product
+        ce = rep.counterexample
+        j, g = failing
+        assert (ce["j"], ce["g"]) == (j, str(g))
+        z = case.z[j - 1]
+        f = group.from_string(ce["f"])
+        product = group.from_string(ce["product"])
+        assert z * g * z.inverse() * f == product
+        assert not pingpong.in_Sj(f, case, j)
+        assert not pingpong.in_Sj(product, case, j)
     assert outcomes[:2] == [True, False]
-    assert verdicts == {True, False, None}
 
 
 def test_verify_gbs2_at_spec_bounds(gbs2):
     data = pingpong.build_ce2(gbs2, "y", 2)
     rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
     assert rep.passed
+    assert rep.certified == rep.g_count * rep.j_count == 4788
     assert rep.pairs_checked == 2552004
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,11 +27,34 @@ def test_gbs2_center_degree(gbs2):
     assert b.degree(b.center) == 3 + 5     # |alpha(~w)| + |alpha(~y)|
 
 
+def _tree_counts(group, radius):
+    """Vertices of the radius-r ball of the covering tree by (depth, vertex
+    type), from the degrees alone: a type-P vertex has |alpha(bar f)|
+    neighbours along each out-edge f, and when it was reached along e one
+    of those along bar e is its parent."""
+    graph = group.graph
+    counts = Counter()
+    layer = Counter({(group.base, None): 1})    # (type, arrival edge) -> count
+    for depth in range(radius + 1):
+        nxt = Counter()
+        for (v, arrived), c in layer.items():
+            counts[depth, v] += c
+            for f in graph.edges_from(v):
+                parent = arrived is not None and f == arrived ^ 1
+                nxt[graph.terminus[f], f] += c * (abs(graph.alpha[f ^ 1])
+                                                  - parent)
+        layer = nxt
+    return counts
+
+
 def test_balls_are_trees(bs23, gbs2, two_vertex, chain3):
+    """The ball holds exactly the covering tree's vertices: a duplicated
+    coset would add vertices at some depth, merged cosets would lose some."""
     for group in (bs23, gbs2, two_vertex, chain3):
         for r in range(5):
             b = tree.ball(group, r)
-            assert b.is_tree()
+            got = Counter((b.depth[v][0], v.vertex) for v in b.vertices)
+            assert got == _tree_counts(group, r), (group.graph.vertices, r)
 
 
 def test_interior_degrees(bs23, gbs2, two_vertex):
