@@ -16,7 +16,7 @@ from gbs.graphs import (
     decompose,
     parse_graph,
 )
-from gbs.words import GbsGroup, GroupElement, PathWord, WordError
+from gbs.words import GbsGroup, GroupElement, WordError
 from gbs.wordcore import backend as kernel_backend
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "GraphError",
     "GroupElement",
     "ParseError",
-    "PathWord",
     "SpanningData",
     "WordError",
     "compute_spanning_tree",

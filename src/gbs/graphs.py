@@ -247,8 +247,6 @@ def parse_graph(text: str):
 
     try:
         graph = GbsGraph(vertices, edges)
-    except ParseError:
-        raise
     except GraphError as exc:
         raise ParseError(str(exc)) from None
 

@@ -145,10 +145,9 @@ class Ball:
     ``by_length`` maps each edge length to the ball indices of that length,
     in index order."""
 
-    __slots__ = ("group", "elements", "index", "by_length", "radius",
-                 "generators")
+    __slots__ = ("group", "elements", "index", "by_length", "radius")
 
-    def __init__(self, group, elements, radius, generators):
+    def __init__(self, group, elements, radius):
         self.group = group
         self.elements = elements
         self.index = {g.items: i for i, g in enumerate(elements)}
@@ -156,7 +155,6 @@ class Ball:
         for i, g in enumerate(elements):
             self.by_length.setdefault(g.edge_length, []).append(i)
         self.radius = radius
-        self.generators = generators
 
     def __len__(self):
         return len(self.elements)
@@ -198,17 +196,13 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
         if not frontier:
             break
     elements = list(seen.values())
-    return Ball(group, elements, radius, generators)
+    return Ball(group, elements, radius)
 
 
 @dataclass
 class BallOperator:
     ball: Ball
     matrix: csr_matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def lambda_operator(g: GroupElement, ball: Ball) -> BallOperator:
@@ -316,11 +310,17 @@ def _check_tol(tol: float) -> None:
         raise OpsimError(f"tol must be finite and positive, got {tol!r}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise OpsimError(f"seed must be nonnegative, got {seed!r}")
+
+
 def norm_estimate(op: BallOperator, tol: float = 1e-6,
                   max_iter: int = 100000, seed: int = 42) -> float:
     """Lower bound on ||op|| within relative accuracy tol (Lanczos steps,
     see ``_power_iteration``); NormConvergenceError after max_iter steps."""
     _check_tol(tol)
+    _check_seed(seed)
     if max_iter < 1:
         raise OpsimError(f"max_iter must be at least 1, got {max_iter!r}")
     value, _ = _power_iteration(op.matrix, tol, max_iter, seed)
@@ -365,6 +365,7 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
     the truncated norm of the average against (2/sqrt(m)) ||f||_est."""
     group = data.group
     _check_tol(tol)
+    _check_seed(seed)
     if not f.is_selfadjoint():
         raise OpsimError("f must be self-adjoint")
     tvert = group.graph.terminus[data.edge]
@@ -403,6 +404,7 @@ def ps_inequality_check(trials: int, dim: int, seed: int = 42,
     T with (1-q) T (1-q) = 0 and a coordinate projection q."""
     import numpy as np
 
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     passed = True

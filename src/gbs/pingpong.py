@@ -26,6 +26,10 @@ from gbs.indices import big_N, check_theorem, kappa_pair, vertex_index
 from gbs.words import GbsGroup, GroupElement, closed_words
 
 
+# Conjugators z_1 .. z_9 stored by build_ce2.
+CE2_COUNT = 9
+
+
 class PingPongError(ValueError):
     """Preconditions of the averaging constructions are not met."""
 
@@ -46,7 +50,7 @@ class Ce2Data:
     z: tuple                   # z_1 .. z_9
 
 
-def build_ce2(group: GbsGroup, edge, L: int, count: int = 9) -> Ce2Data:
+def build_ce2(group: GbsGroup, edge, L: int) -> Ce2Data:
     """Construct the averaging data; L is supplied by the caller (the lemma
     takes the maximum y-length over the finite set under test)."""
     graph = group.graph
@@ -68,7 +72,7 @@ def build_ce2(group: GbsGroup, edge, L: int, count: int = 9) -> Ce2Data:
     return Ce2Data(group=group, edge=e, a=a, b=b, t=t,
                    n=abs(graph.alpha[e]), m=abs(graph.alpha[e ^ 1]),
                    N=big_N(graph, group.spanning, e), L=L,
-                   z=tuple(islice(_conjugators(a, b, t, L, 0), count)))
+                   z=tuple(islice(_conjugators(a, b, t, L, 0), CE2_COUNT)))
 
 
 def _conjugators(a, b, t, L: int, start: int):
@@ -305,10 +309,8 @@ def in_Ui(f: GroupElement, data: TheoremData, i: int) -> bool:
     """Membership in U'_i: the sign prefix of length i*l_y(r'_1)+2 along the
     edge matches w_i's."""
     need = i * data.ly_rp1 + 2
-    if f.edge_letter_count(data.edge) < need:
-        return False
-    return (f.sign_prefix(data.edge, need)
-            == data.w[i - 1].sign_prefix(data.edge, need))
+    window = _head(data.w[i - 1].items[1::2], data.edge, need)
+    return _head(f.items[1::2], data.edge, need) == window
 
 
 def make_negative_control(data: Ce2Data) -> Ce2Data:

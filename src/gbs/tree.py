@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from gbs import wordcore
 from gbs.graphs import Decomposition, GraphError, decompose, paths_from
-from gbs.words import GbsGroup, GroupElement, WordError, path_string
+from gbs.words import (GbsGroup, GroupElement, WordError, path_items,
+                       path_string)
 
 
 class SearchExhausted(RuntimeError):
@@ -140,26 +141,37 @@ class TreeBall:
         }
 
 
+def _bfs(group: GbsGroup, radius: int):
+    """Lazy BFS over the cosets around the base, deduplicated by key.
+    Yields (vertex, depth, parent, edge, residue), the parent as its
+    position in the yield order (None, with edge and residue, at the base);
+    vertices at depth ``radius`` are not expanded."""
+    start = base_vertex(group)
+    yield start, 0, None, None, None
+    seen = {start}
+    queue = deque([(start, 0, 0)])
+    while queue:
+        v, d, i = queue.popleft()
+        if d >= radius:
+            continue
+        for w, e, rho in _neighbors(group, v):
+            if w not in seen:
+                yield w, d + 1, i, e, rho
+                queue.append((w, d + 1, len(seen)))
+                seen.add(w)
+
+
 def ball(group: GbsGroup, radius: int) -> TreeBall:
     """BFS ball around the base coset; vertices deduplicated by coset key."""
     if radius < 0:
         raise GraphError("radius must be nonnegative")
     b = TreeBall(group=group, radius=radius)
-    start = base_vertex(group)
-    b.vertices.append(start)
-    b.depth[start] = (0, 0)
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        d = b.depth[v][0]
-        if d == radius:
-            continue
-        for w, e, rho in _neighbors(group, v):
-            if w not in b.depth:
-                b.depth[w] = (d + 1, len(b.vertices))
-                b.vertices.append(w)
-                b.edges.append((b.index(v), b.index(w), e, rho))
-                queue.append(w)
+    for w, d, parent, e, rho in _bfs(group, radius):
+        i = len(b.vertices)
+        if parent is not None:
+            b.edges.append((parent, i, e, rho))
+        b.depth[w] = (d, i)
+        b.vertices.append(w)
     return b
 
 
@@ -168,19 +180,9 @@ def moved_vertex(group: GbsGroup, g: GroupElement, max_radius: int):
     raises SearchExhausted when no moved vertex shows up within the radius."""
     if g.is_identity():
         raise WordError("the identity moves no vertex")
-    start = base_vertex(group)
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        v, d = queue.popleft()
+    for v, d, *_ in _bfs(group, max_radius):
         if act(group, g, v) != v:
             return v, d
-        if d == max_radius:
-            continue
-        for w, _, _ in _neighbors(group, v):
-            if w not in seen:
-                seen.add(w)
-                queue.append((w, d + 1))
     raise SearchExhausted(
         f"no moved vertex within radius {max_radius}")
 
@@ -193,8 +195,7 @@ def _avoiding_geodesics(group: GbsGroup, e: int):
                        {x for x in range(graph.n_edges) if x // 2 != e // 2})
     if len(paths) != graph.n_vertices:
         raise GraphError(f"removing {graph.edge_name(e)} disconnects the graph")
-    return {v: [0] + [x for y in path for x in (y, 0)]
-            for v, path in paths.items()}
+    return {v: path_items(path) for v, path in paths.items()}
 
 
 def _stable_through(group: GbsGroup, e: int, paths) -> GroupElement:

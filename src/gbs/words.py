@@ -32,71 +32,6 @@ class WordError(ValueError):
     """Invalid word input (grammar, path consistency, or base mismatch)."""
 
 
-class PathWord:
-    """A word r0 y1 r1 ... yn rn along a path of the graph.
-
-    ``items`` is the flat kernel layout; ``start`` is the origin vertex of
-    the first edge (and of the whole word when it has no edges).
-    """
-
-    __slots__ = ("graph", "start", "items")
-
-    def __init__(self, graph: GbsGraph, start: int, items):
-        items = list(items)
-        if len(items) % 2 != 1:
-            raise WordError("items must alternate exponent, edge, ..., exponent")
-        v = start
-        for i in range(1, len(items), 2):
-            e = items[i]
-            if not 0 <= e < graph.n_edges:
-                raise WordError(f"unknown edge index {e}")
-            if graph.origin[e] != v:
-                raise WordError(
-                    f"edge {graph.edge_name(e)} does not start at "
-                    f"{graph.vertices[v]} (position {i})")
-            v = graph.terminus[e]
-        self.graph = graph
-        self.start = start
-        self.items = tuple(items)
-
-    @property
-    def end(self) -> int:
-        v = self.start
-        for i in range(1, len(self.items), 2):
-            v = self.graph.terminus[self.items[i]]
-        return v
-
-    @property
-    def edge_length(self) -> int:
-        return len(self.items) // 2
-
-    def reduced(self) -> "PathWord":
-        return PathWord(self.graph, self.start,
-                        wordcore.reduce_items(list(self.items), self.graph.alpha))
-
-    def canonical(self) -> "PathWord":
-        return PathWord(self.graph, self.start,
-                        wordcore.canon_items(list(self.items), self.graph.alpha))
-
-    def is_reduced(self) -> bool:
-        it = self.items
-        alpha = self.graph.alpha
-        for i in range(3, len(it), 2):
-            if it[i] == it[i - 2] ^ 1 and it[i - 1] % alpha[it[i - 2]] == 0:
-                return False
-        return True
-
-    def __eq__(self, other):
-        return (isinstance(other, PathWord) and self.graph is other.graph
-                and self.start == other.start and self.items == other.items)
-
-    def __hash__(self):
-        return hash((self.start, self.items))
-
-    def __repr__(self):
-        return f"PathWord({path_string(self.graph, self.start, self.items)})"
-
-
 class GroupElement:
     """Element of the fundamental group: a canonical closed word at base."""
 
@@ -146,20 +81,6 @@ class GroupElement:
         return sum(1 for i in range(1, len(self.items), 2)
                    if self.items[i] // 2 == pair)
 
-    def sign_prefix(self, edge, count: int):
-        """First ``count`` signs of the edge-letter sequence: +1 for the
-        edge as given, -1 for its reversal."""
-        e = self.group.graph.edge_id(edge)
-        signs = []
-        for i in range(1, len(self.items), 2):
-            x = self.items[i]
-            if x // 2 == e // 2:
-                signs.append(1 if x == e else -1)
-                if len(signs) == count:
-                    return tuple(signs)
-        raise WordError(
-            f"word has only {len(signs)} letters from the pair, {count} requested")
-
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and other.group is self.group
                 and other.items == self.items)
@@ -194,20 +115,9 @@ class GbsGroup:
             raise GraphError("spanning tree does not reach every vertex")
         return paths
 
-    def geodesic_items(self, v: int, reverse=False):
-        """Zero-exponent tree word base->v (or v->base when ``reverse``)."""
-        path = self._geo[v]
-        if reverse:
-            path = [e ^ 1 for e in reversed(path)]
-        items = [0]
-        for e in path:
-            items.append(e)
-            items.append(0)
-        return items
-
-    def tree_path(self, p: int, q: int):
-        """Edge path p -> q inside the spanning tree."""
-        return paths_from(self.graph, p, self.spanning.tree_edges)[q]
+    def geodesic_items(self, v: int):
+        """Zero-exponent tree word base->v."""
+        return path_items(self._geo[v])
 
     # -- constructors --------------------------------------------------------
 
@@ -216,32 +126,38 @@ class GbsGroup:
 
     def element(self, items) -> GroupElement:
         """Canonicalize a closed word given as a flat item list."""
-        word = PathWord(self.graph, self.base, items)
-        if word.end != self.base:
+        items = list(items)
+        if len(items) % 2 != 1:
+            raise WordError("items must alternate exponent, edge, ..., exponent")
+        graph = self.graph
+        v = self.base
+        for i in range(1, len(items), 2):
+            e = items[i]
+            if not 0 <= e < graph.n_edges:
+                raise WordError(f"unknown edge index {e}")
+            if graph.origin[e] != v:
+                raise WordError(
+                    f"edge {graph.edge_name(e)} does not start at "
+                    f"{graph.vertices[v]} (position {i})")
+            v = graph.terminus[e]
+        if v != self.base:
             raise WordError("word is not closed at the base vertex")
         return GroupElement(self, items)
 
     def vertex_generator(self, vertex, power=1) -> GroupElement:
         """a_P^power, transported to the base along the tree."""
-        v = self.graph.vertex_id(vertex)
-        items = self.geodesic_items(v)
-        items[-1] = power
-        rest = self.geodesic_items(v, reverse=True)
-        items[-1] += rest[0]
-        items.extend(rest[1:])
-        return GroupElement(self, items)
+        geo = self.geodesic_items(self.graph.vertex_id(vertex))
+        back = wordcore.inv_items(geo)
+        return GroupElement(self, geo[:-1] + [power] + back[1:])
 
     def edge_generator(self, edge) -> GroupElement:
         """g_y: geodesic to o(y), the letter y, geodesic back from t(y)."""
         e = self.graph.edge_id(edge)
         items = self.geodesic_items(self.graph.origin[e])
         items.append(e)
-        rest = self.geodesic_items(self.graph.terminus[e], reverse=True)
-        items.extend(rest)
+        items.extend(wordcore.inv_items(
+            self.geodesic_items(self.graph.terminus[e])))
         return GroupElement(self, items)
-
-    def path_word(self, start, items) -> PathWord:
-        return PathWord(self.graph, self.graph.vertex_id(start), items)
 
     # -- membership ----------------------------------------------------------
 
@@ -356,6 +272,15 @@ class GbsGroup:
                     parts.append(f"g[{self.graph.edge_name(x)}]")
                 v = self.graph.terminus[x]
         return "*".join(parts) if parts else "1"
+
+
+def path_items(path):
+    """The zero-exponent path word along an edge path."""
+    items = [0]
+    for e in path:
+        items.append(e)
+        items.append(0)
+    return items
 
 
 def path_string(graph: GbsGraph, start: int, items) -> str:

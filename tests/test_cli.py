@@ -115,6 +115,10 @@ def test_exit_codes(tmp_path):
         r = run("normest", BS23, "--edge", "y", "--radius", "2", "--tol", tol)
         assert r.returncode == 2, r.stdout
         assert "tol must be finite and positive" in r.stderr
+    r = run("normest", BS23, "--edge", "y", "--radius", "2", "--seed", "-1")
+    assert r.returncode == 2, r.stdout
+    assert r.stderr.startswith("gbs: seed must be nonnegative")
+    assert "Traceback" not in r.stderr and r.stdout == ""
     r = run("tree", str(tmp_path), "--radius", "1")
     assert r.returncode == 2, r.stdout
     assert "Is a directory" in r.stderr and "Traceback" not in r.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from gbs.graphs import (Decomposition, GraphError, ParseError,
+from gbs.graphs import (Decomposition, GbsGraph, GraphError, ParseError,
                         compute_spanning_tree, decompose, parse_graph)
 
 from conftest import BS23_TEXT, CHAIN3_TEXT, FIXTURES, GBS2_TEXT, TWO_VERTEX_TEXT
@@ -65,6 +65,39 @@ def test_declared_tree_must_be_maximal():
         parse_graph(text)
     with pytest.raises(ParseError, match="maximal"):
         parse_graph(GBS2_TEXT.replace("tree w", "tree"))  # explicitly empty tree
+
+
+def test_graph_constructor_checks():
+    cases = [
+        ([], [], "at least one vertex"),
+        (["P", "P"], [], "duplicate vertex name"),
+        (["P"], [("y", "P", "P", 1, 2), ("y", "P", "P", 2, 1)],
+         "duplicate edge name 'y'"),
+        (["P"], [("y", "Q", "P", 1, 2)], "unknown origin vertex 'Q'"),
+        (["P"], [("y", "P", "Q", 1, 2)], "unknown terminus vertex 'Q'"),
+        (["P"], [("y", "P", "P", 0, 2)], "edge 'y': alpha must be nonzero"),
+    ]
+    for vertices, edges, message in cases:
+        with pytest.raises(GraphError, match=message):
+            GbsGraph(vertices, edges)
+
+
+def test_parse_line_checks():
+    cases = [
+        ("vertex P Q\n", "line 1: expected: vertex <id>"),
+        ("vertex P\nbase\n", "line 2: expected: base <vertex-id>"),
+        ("vertex P\nbase P Q\n", "line 2: expected: base <vertex-id>"),
+        ("vertex 1P\n", "line 1: bad identifier '1P'"),
+        ("vertex P\nedge 9y : P -> P alpha 1 2\n",
+         "line 2: bad identifier '9y'"),
+        # two of the three pairs, as a maximal tree needs, but a cycle on P, Q
+        ("vertex P\nvertex Q\nvertex R\nedge w : P -> Q alpha 2 3\n"
+         "edge u : P -> Q alpha 2 3\nedge v : Q -> R alpha 2 3\ntree w u\n",
+         "line 7: declared tree does not span all vertices"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text)
 
 
 def test_roundtrip_all_fixtures():

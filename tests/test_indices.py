@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gbs import indices
-from gbs.graphs import GraphError, parse_graph
+from gbs.graphs import GraphError, parse_graph, paths_from
 from gbs.words import GbsGroup, random_closed_word
 
 from conftest import bs_text
@@ -45,12 +45,20 @@ def test_geodesic_k_rejects_non_tree(bs23):
         indices.geodesic_k(bs23.graph, bs23.spanning, [0])
 
 
+def test_geodesic_k_rejects_broken_path(chain3):
+    g = chain3.graph
+    w1, w2 = g.edge_id("w1"), g.edge_id("w2")
+    for path in ([w1, w1], [w2, w1], [w1 ^ 1, w2]):
+        with pytest.raises(GraphError, match="edges do not form a path"):
+            indices.geodesic_k(g, chain3.spanning, path)
+
+
 def test_geodesic_k_matches_oracle_on_all_tree_paths(gbs2, chain3):
     for group in (gbs2, chain3):
         g = group.graph
         for p in range(g.n_vertices):
             for q in range(g.n_vertices):
-                path = group.tree_path(p, q)
+                path = paths_from(g, p, group.spanning.tree_edges)[q]
                 k = indices.geodesic_k(g, group.spanning, path)
                 assert k == oracle_relative_order(
                     group, g.vertices[q] if path else g.vertices[p],

@@ -7,10 +7,12 @@ The tests skip only when there is no compiler or no ``Python.h``.
 """
 
 import importlib.util
+import os
 import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -95,5 +97,36 @@ def test_bignum_exponents_survive(compiled):
     assert out == [2 * 3 ** 120]
 
 
+_SELECTOR_PROBE = """\
+import os, sys, types
+KERNEL = ("reduce_items", "sweep_items", "canon_items", "inv_items",
+          "mul_items")
+# a stand-in extension, in place before gbs (and its selector) loads
+ext = types.ModuleType("gbs._wordcore")
+for name in KERNEL:
+    setattr(ext, name, lambda *args: None)
+sys.modules["gbs._wordcore"] = ext
+from gbs import _wordcore_py, wordcore
+if os.environ.get("GBS_PURE_KERNEL"):
+    want, impl = "python", _wordcore_py
+else:
+    want, impl = "cython", ext
+assert wordcore.backend() == want, wordcore.backend()
+for name in KERNEL:
+    assert getattr(wordcore, name) is getattr(impl, name), name
+"""
+
+
 def test_selected_backend_reported():
     assert wordcore.backend() in ("cython", "python")
+    # GBS_PURE_KERNEL=1 must pick the pure kernel even where the extension
+    # imports; the benchmark relies on it.  Fresh interpreters, since the
+    # selector runs once at import; without the variable the stand-in
+    # extension must win, which shows the probe can fail.
+    src = str(Path(gbs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for pure_flag in ("1", ""):
+        env = dict(os.environ, GBS_PURE_KERNEL=pure_flag, PYTHONPATH=path)
+        r = subprocess.run([sys.executable, "-c", _SELECTOR_PROBE], env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr

@@ -55,6 +55,8 @@ def test_positivity_diagonal(bs23):
 def test_enumerate_ball(bs23):
     b0 = opsim.enumerate_ball(bs23, None, 0)
     assert len(b0) == 1
+    with pytest.raises(opsim.OpsimError, match="radius must be nonnegative"):
+        opsim.enumerate_ball(bs23, None, -1)
     b1 = opsim.enumerate_ball(bs23, None, 1)
     assert [str(g) for g in b1.elements] == \
         ["1", "a[P]", "a[P]^-1", "g[y]", "g[~y]"]
@@ -470,8 +472,27 @@ def test_decay_preconditions(bs23):
     with pytest.raises(opsim.OpsimError):   # not self-adjoint
         opsim.powers_decay_experiment(data, lam(bs23.edge_generator("y")),
                                       [4], 3)
-    with pytest.raises(opsim.OpsimError):   # nonzero expectation
-        opsim.powers_decay_experiment(data, lam(a ** 9), [4], 3)
+    with pytest.raises(opsim.OpsimError, match="zero expectation"):
+        opsim.powers_decay_experiment(data, lam(a ** 9) + lam(a ** -9), [4], 3)
+    t = bs23.edge_generator("y")
+    h = t ** 3 * a * t.inverse() ** 3               # 6 y-letters, L = 2
+    with pytest.raises(opsim.OpsimError, match="y-length budget L"):
+        opsim.powers_decay_experiment(data, lam(h) + lam(h.inverse()), [4], 3)
+
+
+def test_negative_seed_rejected(bs23):
+    t = bs23.edge_generator("y")
+    g = t * bs23.vertex_generator("P") * t.inverse()
+    f = lam(g) + lam(g.inverse())
+    op = opsim.operator_of(f, opsim.enumerate_ball(bs23, None, 1))
+    data = pingpong.build_ce2(bs23, "y", 2)
+    message = "seed must be nonnegative, got -1"
+    with pytest.raises(opsim.OpsimError, match=message):
+        opsim.norm_estimate(op, seed=-1)
+    with pytest.raises(opsim.OpsimError, match=message):
+        opsim.powers_decay_experiment(data, f, [4], 1, seed=-1)
+    with pytest.raises(opsim.OpsimError, match=message):
+        opsim.ps_inequality_check(2, 3, seed=-1)
 
 
 def test_ps_inequality(bs23):

@@ -35,12 +35,22 @@ def test_build_ce2_l_zero_collapses_tail(bs23):
     assert d.z[2] == r1 ** 3 * r2
 
 
-def test_build_ce2_preconditions(gbs2):
+def test_build_ce2_preconditions(bs23, gbs2):
     g22, s22 = parse_graph(bs_text(2, 2))
     with pytest.raises(pingpong.PingPongError):
         pingpong.build_ce2(GbsGroup(g22, s22), "y", 2)
     with pytest.raises(pingpong.PingPongError):
         pingpong.build_ce2(gbs2, "w", 2)      # tree edge
+    with pytest.raises(pingpong.PingPongError, match="L must be nonnegative"):
+        pingpong.build_ce2(bs23, "y", -1)
+    # a second loop x beside y: the graph meets the conditions through y,
+    # but alpha 2 2 gives x equal kappa values
+    group = GbsGroup(*parse_graph(
+        "vertex P\nedge y : P -> P alpha 3 2\nedge x : P -> P alpha 2 2\n"))
+    with pytest.raises(pingpong.PingPongError,
+                       match=r"kappa values coincide at x \(1\)"):
+        pingpong.build_ce2(group, "x", 2)
+    assert pingpong.build_ce2(group, "y", 0).edge == group.graph.edge_id("y")
 
 
 def test_z_commutes_with_aN(ce2_bs23):
@@ -278,6 +288,13 @@ def test_choose_cd_examples(bs23):
                 assert (u * c * g * d * v).edge_letter_count("y") == base + 2
 
 
+def test_choose_cd_needs_proper_origin_subgroup():
+    group = GbsGroup(*parse_graph(bs_text(1, 3)))     # |alpha(~y)| = 1
+    with pytest.raises(pingpong.PingPongError,
+                       match="needs a proper edge subgroup at the origin"):
+        pingpong.choose_cd(group, "y", group.identity())
+
+
 @pytest.fixture(scope="module")
 def theorem_bs23(bs23):
     a = bs23.vertex_generator("P")
@@ -323,6 +340,17 @@ def test_r_primes_fix_K1(bs23, theorem_bs23):
     h = bs23.vertex_generator("P") ** td.K1_exponent
     assert td.rp1.inverse() * h * td.rp1 == h
     assert td.rp2.inverse() * h * td.rp2 == h
+
+
+def test_w_letters_cover_their_windows(bs23, gbs2):
+    """Each w_i has at least the i*l_y(r'_1)+2 y-letters that in_Ui reads
+    off it, so its window is never cut short."""
+    for group in (bs23, gbs2):
+        a = group.vertex_generator(group.graph.terminus[group.graph.edge_id("y")])
+        t = group.edge_generator("y")
+        td = pingpong.build_theorem_data(group, "y", t * a * t.inverse(), 6)
+        for i, w in enumerate(td.w, 1):
+            assert w.edge_letter_count("y") >= i * td.ly_rp1 + 2
 
 
 def test_u_sets_disjoint(bs23, theorem_bs23):

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 
 from gbs import tree, wordcore
+from gbs.graphs import GraphError
+from gbs.words import GbsGroup
 from gbs.words import WordError, closed_words, random_closed_word
 
 
@@ -12,6 +14,8 @@ def test_ball_radius_zero(bs23):
     b = tree.ball(bs23, 0)
     assert len(b.vertices) == 1
     assert b.center == tree.base_vertex(bs23)
+    with pytest.raises(GraphError, match="radius must be nonnegative"):
+        tree.ball(bs23, -1)
 
 
 def test_ball_sizes_bs23(bs23):
@@ -185,6 +189,11 @@ def test_stable_letter_tree_edge(gbs2):
     assert tree.stable_letter(gbs2, "y") == t
 
 
+def test_stable_letter_rejects_separating_edge(chain3):
+    with pytest.raises(GraphError, match="removing w1 disconnects the graph"):
+        tree.stable_letter(chain3, "w1")
+
+
 def _joint_stabilizer_implies(group, cover, target, words):
     joint = 0
     for h in words:
@@ -216,6 +225,12 @@ def test_stabilizer_cover_amalgam(two_vertex):
     target = tree.coset_vertex(two_vertex, two_vertex.geodesic_items(q), q)
     words = [two_vertex.element(list(it)) for it in closed_words(two_vertex, 4, 3)]
     assert _joint_stabilizer_implies(two_vertex, cover, target, words) > 1
+
+
+def test_stabilizer_cover_amalgam_needs_proper_subgroup():
+    group = GbsGroup.from_text("vertex P\nvertex Q\nedge w : P -> Q alpha 1 3\n")
+    with pytest.raises(GraphError, match="amalgam branch needs a proper edge"):
+        tree.stabilizer_cover(group, group.identity(), "w")
 
 
 def test_stabilizer_cover_gbs2_tree_edge(gbs2):

@@ -5,42 +5,46 @@ import pytest
 from gbs import _wordcore_py as pure
 from gbs import wordcore
 from gbs.graphs import paths_from
-from gbs.words import (MAX_EDGE_LENGTH, GbsGroup, PathWord, WordError,
-                       closed_words, random_closed_word)
+from gbs.words import (MAX_EDGE_LENGTH, WordError, closed_words,
+                       random_closed_word)
 
 
 def test_reduce_defining_relation(bs23):
-    w = bs23.path_word("P", [0, 0, 3, 1, 0])   # y a^3 ~y
-    assert w.reduced().items == (2,)
+    alpha = bs23.graph.alpha
+    assert wordcore.reduce_items([0, 0, 3, 1, 0], alpha) == [2]   # y a^3 ~y
 
 
 def test_reduce_inverse_pair(bs23):
-    w = bs23.path_word("P", [0, 0, 0, 1, 0])
-    assert w.reduced().items == (0,)
+    assert wordcore.reduce_items([0, 0, 0, 1, 0], bs23.graph.alpha) == [0]
 
 
 def test_no_pinch_when_not_divisible(bs23):
-    w = bs23.path_word("P", [0, 0, 1, 1, 0])   # y a ~y: 3 does not divide 1
-    assert w.reduced().items == w.items
-    assert w.is_reduced()
+    items = [0, 0, 1, 1, 0]                     # y a ~y: 3 does not divide 1
+    assert wordcore.reduce_items(list(items), bs23.graph.alpha) == items
 
 
 def test_canonical_pushes_residue(bs23):
-    w = bs23.path_word("P", [5, 0, 0])         # a^5 y -> a y a^6
-    assert w.canonical().items == (1, 0, 6)
+    # a^5 y -> a y a^6
+    assert wordcore.canon_items([5, 0, 0], bs23.graph.alpha) == [1, 0, 6]
 
 
 def test_canonical_idempotent(bs23):
-    w = bs23.path_word("P", [5, 0, 0]).canonical()
-    assert w.canonical().items == w.items
+    alpha = bs23.graph.alpha
+    w = wordcore.canon_items([5, 0, 0], alpha)
+    assert wordcore.canon_items(list(w), alpha) == w
     assert bs23.identity().items == (0,)
 
 
 def test_path_consistency_enforced(gbs2):
-    with pytest.raises(WordError):
-        gbs2.path_word("P", [0, 1, 0])     # ~w starts at Q, not P
-    w = gbs2.path_word("P", [0, 0, 1, 1, 0])
-    assert w.end == gbs2.graph.vertex_id("P")
+    with pytest.raises(WordError, match="does not start at P"):
+        gbs2.element([0, 1, 0])                 # ~w starts at Q, not P
+    with pytest.raises(WordError, match="not closed at the base"):
+        gbs2.element([0, 0, 0])                 # w ends at Q
+    assert gbs2.element([0, 0, 1, 1, 0]) == gbs2.vertex_generator("Q")
+    with pytest.raises(WordError, match="must alternate exponent, edge"):
+        gbs2.element([0, 0])
+    with pytest.raises(WordError, match="unknown edge index 4"):
+        gbs2.element([0, 4, 0])
 
 
 def test_multiply_examples(bs23):
@@ -79,6 +83,15 @@ def test_grammar_errors(bs23):
             bs23.from_string(bad)
 
 
+def test_grammar_misplaced_tokens(bs23):
+    for text in ("*a[P]", "a[P]**a[P]"):
+        with pytest.raises(WordError, match="misplaced '\\*'"):
+            bs23.from_string(text)
+    for text in ("a[P]1", "1 1", "g[y]^2 1"):
+        with pytest.raises(WordError, match="misplaced '1'"):
+            bs23.from_string(text)
+
+
 def test_power_cap(bs23, gbs2):
     cap = MAX_EDGE_LENGTH
     assert bs23.from_string(f"g[y]^{cap}").edge_length == cap
@@ -105,10 +118,8 @@ def test_length_and_signs(bs23):
     assert a.edge_letter_count("y") == 0
     h = t * a * t.inverse()
     assert h.edge_letter_count("y") == 2
-    assert h.sign_prefix("y", 2) == (1, -1)
+    assert h.items[1::2] == (0, 1)              # signs +1, -1: y, then ~y
     assert (t * a ** 3 * t.inverse()).edge_letter_count("y") == 0
-    with pytest.raises(WordError):
-        a.sign_prefix("y", 1)
 
 
 def test_cyclic_membership(bs23):
