@@ -152,24 +152,7 @@ class TheoremVerdict:
 def check_theorem(graph: GbsGraph, spanning: SpanningData) -> TheoremVerdict:
     """Evaluate the sufficient conditions; the verdict is data, not a proof
     of non-simplicity when it fails."""
-    return _verdict(graph, {e: kappa_pair(graph, spanning, e)
-                            for e in range(0, graph.n_edges, 2)
-                            if e not in spanning.tree_edges})
-
-
-def _verdict(graph: GbsGraph, non_tree_kappa) -> TheoremVerdict:
-    """The verdict from the kappa pairs of the non-tree declared edges, in
-    declaration order."""
-    witness = next((graph.edge_name(e) for e, (ky, kyb)
-                    in non_tree_kappa.items() if ky != kyb), None)
-    all_proper = all(abs(graph.alpha[e]) >= 2 for e in range(graph.n_edges))
-    return TheoremVerdict(
-        not_a_tree=bool(non_tree_kappa),
-        all_groups_z=True,
-        exists_kappa_mismatch=witness is not None,
-        witness_edge=witness,
-        all_proper=all_proper,
-    )
+    return index_report(graph, spanning).verdict
 
 
 @dataclass(frozen=True)
@@ -197,7 +180,6 @@ def index_report(graph: GbsGraph, spanning: SpanningData) -> IndexReport:
     kappa = {}
     k_prime = {}
     big_n = {}
-    non_tree_kappa = {}
     for i, name in enumerate(graph.edge_names):
         e = 2 * i
         kc, kcbar = _edge_ks(graph, spanning, e)
@@ -205,8 +187,17 @@ def index_report(graph: GbsGraph, spanning: SpanningData) -> IndexReport:
         kappa[name] = _kappa(graph, e, k_prime[name])
         if e not in spanning.tree_edges:
             big_n[name] = _big_n(graph, e, kc, kcbar)
-            non_tree_kappa[e] = kappa[name]
     proper = {graph.edge_name(e): abs(graph.alpha[e]) >= 2
               for e in range(graph.n_edges)}
+    # big_n holds exactly the non-tree declared edges, in declaration order
+    witness = next((name for name in big_n
+                    if kappa[name][0] != kappa[name][1]), None)
+    verdict = TheoremVerdict(
+        not_a_tree=bool(big_n),
+        all_groups_z=True,
+        exists_kappa_mismatch=witness is not None,
+        witness_edge=witness,
+        all_proper=all(proper.values()),
+    )
     return IndexReport(kappa=kappa, k_prime=k_prime, proper=proper,
-                       big_n=big_n, verdict=_verdict(graph, non_tree_kappa))
+                       big_n=big_n, verdict=verdict)

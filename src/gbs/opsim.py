@@ -54,12 +54,7 @@ class FormalElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for g, c in terms.items():
-                if c != 0:
-                    self.terms[g] = self.terms.get(g, 0) + c
-            self.terms = {g: c for g, c in self.terms.items() if c != 0}
+        self.terms = {g: c for g, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def lam(cls, g: GroupElement, coeff=1) -> "FormalElement":
@@ -145,10 +140,9 @@ class Ball:
     ``by_length`` maps each edge length to the ball indices of that length,
     in index order."""
 
-    __slots__ = ("group", "elements", "index", "by_length", "radius")
+    __slots__ = ("elements", "index", "by_length", "radius")
 
-    def __init__(self, group, elements, radius):
-        self.group = group
+    def __init__(self, elements, radius):
         self.elements = elements
         self.index = {g.items: i for i, g in enumerate(elements)}
         self.by_length = {}
@@ -196,22 +190,17 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
         if not frontier:
             break
     elements = list(seen.values())
-    return Ball(group, elements, radius)
+    return Ball(elements, radius)
 
 
 @dataclass
 class BallOperator:
-    ball: Ball
     matrix: csr_matrix
 
 
-def lambda_operator(g: GroupElement, ball: Ball) -> BallOperator:
-    """Partial permutation x -> g x on the ball."""
-    return operator_of(FormalElement.lam(g), ball)
-
-
 def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
-    """Sum of coefficient-weighted translation operators.
+    """Sum of coefficient-weighted translation operators; for lam(g) the
+    partial permutation x -> g x on the ball.
 
     Coefficients must be real (OpsimError otherwise): the norm solver
     multiplies by M^T, which is the adjoint of M only for a real M.
@@ -242,7 +231,7 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
                     vals.append(fc)
     n = len(ball)
     mat = csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
-    return BallOperator(ball, mat)
+    return BallOperator(mat)
 
 
 def _power_iteration(mat: csr_matrix, tol: float, max_iter: int, seed: int):
@@ -332,7 +321,6 @@ class DecayRow:
     m: int
     bound: float
     estimate: float
-    ball_size: int
     iterations: int     # Lanczos steps of the norm solver
 
     @property
@@ -354,7 +342,7 @@ class DecayTable:
         lines = ["m,bound,estimate,ball_size,iterations"]
         for r in self.rows:
             lines.append(f"{r.m},{r.bound:.12g},{r.estimate:.12g},"
-                         f"{r.ball_size},{r.iterations}")
+                         f"{self.ball_size},{r.iterations}")
         return "\n".join(lines) + "\n"
 
 
@@ -385,8 +373,7 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
         est, iters = _power_iteration(operator_of(avg, ball_).matrix,
                                       tol, 10 ** 5, seed)
         rows.append(DecayRow(m=m, bound=2.0 / math.sqrt(m) * f_norm,
-                             estimate=est, ball_size=len(ball_),
-                             iterations=iters))
+                             estimate=est, iterations=iters))
     return DecayTable(rows=tuple(rows), f_norm=f_norm, ball_size=len(ball_))
 
 

@@ -67,13 +67,8 @@ def _neighbors(group: GbsGroup, v: TreeVertex):
     rep = v.rep_items()
     for e in graph.edges_from(v.vertex):
         for rho in range(abs(graph.alpha[e ^ 1])):
-            items = list(rep)
-            items[-1] = rho
-            items.append(e)
-            items.append(0)
-            items = wordcore.canon_items(items, graph.alpha)
-            items[-1] = 0
-            out.append((TreeVertex(graph.terminus[e], tuple(items)), e, rho))
+            w = coset_vertex(group, rep[:-1] + [rho, e, 0], graph.terminus[e])
+            out.append((w, e, rho))
     return out
 
 

@@ -144,11 +144,11 @@ class GbsGroup:
             raise WordError("word is not closed at the base vertex")
         return GroupElement(self, items)
 
-    def vertex_generator(self, vertex, power=1) -> GroupElement:
-        """a_P^power, transported to the base along the tree."""
+    def vertex_generator(self, vertex) -> GroupElement:
+        """a_P, transported to the base along the tree."""
         geo = self.geodesic_items(self.graph.vertex_id(vertex))
         back = wordcore.inv_items(geo)
-        return GroupElement(self, geo[:-1] + [power] + back[1:])
+        return GroupElement(self, geo[:-1] + [1] + back[1:])
 
     def edge_generator(self, edge) -> GroupElement:
         """g_y: geodesic to o(y), the letter y, geodesic back from t(y)."""
@@ -259,19 +259,8 @@ class GbsGroup:
     def to_string(self, g: GroupElement) -> str:
         """Print in the word grammar; tree letters are suppressed (they are
         identity in the group), their exponents stay at their vertices."""
-        parts = []
-        v = self.base
-        items = g.items
-        for i, x in enumerate(items):
-            if i % 2 == 0:
-                if x != 0:
-                    name = self.graph.vertices[v]
-                    parts.append(f"a[{name}]" + (f"^{x}" if x != 1 else ""))
-            else:
-                if x not in self.spanning.tree_edges:
-                    parts.append(f"g[{self.graph.edge_name(x)}]")
-                v = self.graph.terminus[x]
-        return "*".join(parts) if parts else "1"
+        return path_string(self.graph, self.base, g.items,
+                           self.spanning.tree_edges)
 
 
 def path_items(path):
@@ -283,8 +272,9 @@ def path_items(path):
     return items
 
 
-def path_string(graph: GbsGraph, start: int, items) -> str:
-    """Verbatim rendering of a path word, tree letters included."""
+def path_string(graph: GbsGraph, start: int, items, omit=frozenset()) -> str:
+    """Rendering of a path word in the word grammar; the edge letters in
+    ``omit`` are left out, every other letter is printed."""
     parts = []
     v = start
     for i, x in enumerate(items):
@@ -292,7 +282,8 @@ def path_string(graph: GbsGraph, start: int, items) -> str:
             if x != 0:
                 parts.append(f"a[{graph.vertices[v]}]" + (f"^{x}" if x != 1 else ""))
         else:
-            parts.append(f"g[{graph.edge_name(x)}]")
+            if x not in omit:
+                parts.append(f"g[{graph.edge_name(x)}]")
             v = graph.terminus[x]
     return "*".join(parts) if parts else "1"
 

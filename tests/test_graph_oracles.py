@@ -7,6 +7,8 @@ import pytest
 
 from gbs.graphs import (Decomposition, GraphError, compute_spanning_tree,
                         decompose, paths_from, parse_graph)
+from gbs.indices import TheoremVerdict, check_theorem, kappa_pair
+from gbs.words import GbsGroup, closed_words
 
 from conftest import random_graph_text
 
@@ -147,3 +149,32 @@ def test_resolver_names_and_indices():
         for bad in (-1, graph.n_vertices):
             with pytest.raises(GraphError, match="unknown vertex index"):
                 graph.vertex_id(bad)
+
+
+def test_check_theorem_matches_kappa_pairs():
+    met = set()
+    for _, graph, spanning in _graphs():
+        non_tree = [e for e in range(0, graph.n_edges, 2)
+                    if e not in spanning.tree_edges]
+        mismatched = [graph.edge_name(e) for e in non_tree
+                      if len(set(kappa_pair(graph, spanning, e))) == 2]
+        verdict = check_theorem(graph, spanning)
+        assert verdict == TheoremVerdict(
+            not_a_tree=bool(non_tree),
+            all_groups_z=True,
+            exists_kappa_mismatch=bool(mismatched),
+            witness_edge=mismatched[0] if mismatched else None,
+            all_proper=all(abs(a) >= 2 for a in graph.alpha))
+        met.add(verdict.sufficient_conditions_met)
+    assert met == {True, False}
+
+
+def test_word_printer_roundtrip():
+    words = 0
+    for _, graph, spanning in _graphs(count=50):
+        group = GbsGroup(graph, spanning)
+        for items in closed_words(group, 2, 1):
+            g = group.element(items)
+            assert group.from_string(group.to_string(g)) == g
+            words += 1
+    assert words > 10_000

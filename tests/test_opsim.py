@@ -74,9 +74,9 @@ def test_enumerate_ball(bs23):
 def test_lambda_operator(bs23):
     a = bs23.vertex_generator("P")
     b1 = opsim.enumerate_ball(bs23, None, 1)
-    ident = opsim.lambda_operator(bs23.identity(), b1)
+    ident = opsim.operator_of(lam(bs23.identity()), b1)
     assert np.array_equal(ident.matrix.toarray(), np.eye(len(b1)))
-    la = opsim.lambda_operator(a, b1)
+    la = opsim.operator_of(lam(a), b1)
     # partial permutation: at most one entry per row and column, all ones
     assert la.matrix.max() == 1
     assert all(c <= 1 for c in np.asarray(la.matrix.sum(axis=0)).ravel())
@@ -95,9 +95,9 @@ def test_lambda_multiplicative_on_domains(bs23):
     for _ in range(30):
         g = random_closed_word(bs23, rng, 2, 2)
         h = random_closed_word(bs23, rng, 2, 2)
-        prod = (opsim.lambda_operator(g, ball).matrix
-                @ opsim.lambda_operator(h, ball).matrix)
-        gh = opsim.lambda_operator(g * h, ball).matrix
+        prod = (opsim.operator_of(lam(g), ball).matrix
+                @ opsim.operator_of(lam(h), ball).matrix)
+        gh = opsim.operator_of(lam(g * h), ball).matrix
         # wherever the composition is defined it agrees with lambda_{gh}
         diff = prod - prod.multiply(gh)
         assert diff.nnz == 0
@@ -106,8 +106,8 @@ def test_lambda_multiplicative_on_domains(bs23):
 def test_lambda_partial_isometry_composition(bs23):
     t = bs23.edge_generator("y")
     ball = opsim.enumerate_ball(bs23, None, 2)
-    lt = opsim.lambda_operator(t, ball).matrix
-    ltinv = opsim.lambda_operator(t.inverse(), ball).matrix
+    lt = opsim.operator_of(lam(t), ball).matrix
+    ltinv = opsim.operator_of(lam(t.inverse()), ball).matrix
     comp = (lt @ ltinv).toarray()
     assert np.allclose(comp, np.diag(np.diag(comp)))
     assert set(np.diag(comp)) <= {0.0, 1.0}
@@ -229,9 +229,9 @@ def test_operator_of_matches_brute_force(request, name, radius, edge):
 
 def test_norm_identity_and_isometry(bs23):
     ball = opsim.enumerate_ball(bs23, None, 2)
-    ident = opsim.lambda_operator(bs23.identity(), ball)
+    ident = opsim.operator_of(lam(bs23.identity()), ball)
     assert abs(opsim.norm_estimate(ident) - 1.0) <= 1e-6
-    lt = opsim.lambda_operator(bs23.edge_generator("y"), ball)
+    lt = opsim.operator_of(lam(bs23.edge_generator("y")), ball)
     assert abs(opsim.norm_estimate(lt) - 1.0) <= 1e-6
     zero = opsim.operator_of(opsim.FormalElement(), ball)
     assert opsim.norm_estimate(zero) == 0.0
@@ -434,7 +434,7 @@ def test_norm_steps_are_bounded(bs23):
 
 def test_max_iter_must_be_positive(bs23):
     ball = opsim.enumerate_ball(bs23, None, 1)
-    op = opsim.lambda_operator(bs23.identity(), ball)
+    op = opsim.operator_of(lam(bs23.identity()), ball)
     for max_iter in (0, -5):
         with pytest.raises(opsim.OpsimError, match="max_iter"):
             opsim.norm_estimate(op, max_iter=max_iter)
@@ -454,7 +454,7 @@ def test_operator_of_rejects_complex_coefficients(bs23):
 
 def test_tol_must_be_finite_and_positive(bs23):
     ball = opsim.enumerate_ball(bs23, None, 1)
-    op = opsim.lambda_operator(bs23.identity(), ball)
+    op = opsim.operator_of(lam(bs23.identity()), ball)
     t = bs23.edge_generator("y")
     g = t * bs23.vertex_generator("P") * t.inverse()
     f = lam(g) + lam(g.inverse())

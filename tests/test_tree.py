@@ -239,8 +239,7 @@ def test_stabilizer_cover_gbs2_tree_edge(gbs2):
     q = gbs2.graph.vertex_id("Q")
     target = tree.act(gbs2, g,
                       tree.coset_vertex(gbs2, gbs2.geodesic_items(q), q))
-    rng = random.Random(59)
-    words = [random_closed_word(gbs2, rng, 4, 4) for _ in range(100)]
+    words = [gbs2.element(list(it)) for it in closed_words(gbs2, 4, 3)]
     # include the joint stabilizer's obvious members
     ap = gbs2.vertex_generator("P")
     words += [g * ap ** k * g.inverse() for k in range(1, 13)]

@@ -4,7 +4,7 @@ import pytest
 
 from gbs import _wordcore_py as pure
 from gbs import wordcore
-from gbs.graphs import paths_from
+from gbs.graphs import GraphError, paths_from
 from gbs.words import (MAX_EDGE_LENGTH, WordError, closed_words,
                        random_closed_word)
 
@@ -78,9 +78,13 @@ def test_word_grammar_roundtrip(bs23, gbs2):
 
 
 def test_grammar_errors(bs23):
-    for bad in ("", "a[P]*", "^2", "a[P]^^2", "a[Z]", "g[z]", "a[P] a[P]"):
-        with pytest.raises((WordError, Exception)):
+    for bad in ("", "a[P]*", "^2", "a[P]^^2", "a[P] a[P]"):
+        with pytest.raises(WordError):
             bs23.from_string(bad)
+    with pytest.raises(GraphError, match="unknown vertex 'Z'"):
+        bs23.from_string("a[Z]")
+    with pytest.raises(GraphError, match="unknown edge 'z'"):
+        bs23.from_string("g[z]")
 
 
 def test_grammar_misplaced_tokens(bs23):
