@@ -171,21 +171,35 @@ def default_generators(group: GbsGroup):
 
 
 def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
+    """Breadth-first ball: from each frontier element g, in order, append
+    every new g s for the generators s in list order.
+
+    An element reached by the step s keeps the index of s^-1 in the list (the
+    first one, or None when s^-1 is not listed), and that one product is not
+    formed from it: it only leads back to the parent, which is already seen.
+    The elements and their order are those of the plain BFS."""
     if generators is None:
         generators = default_generators(group)
     generators = list(generators)
     if radius < 0:
         raise OpsimError("radius must be nonnegative")
-    seen = {group.identity().items: group.identity()}
-    frontier = [group.identity()]
+    first = {}
+    for k, s in enumerate(generators):
+        first.setdefault(s.items, k)
+    undo = [first.get(s.inverse().items) for s in generators]
+    identity = group.identity()
+    seen = {identity.items: identity}
+    frontier = [(identity, None)]
     for _ in range(radius):
         new = []
-        for g in frontier:
-            for s in generators:
+        for g, back in frontier:
+            for k, s in enumerate(generators):
+                if k == back:
+                    continue
                 h = g * s
                 if h.items not in seen:
                     seen[h.items] = h
-                    new.append(h)
+                    new.append((h, undo[k]))
         frontier = new
         if not frontier:
             break
@@ -209,26 +223,47 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     so edge_len(g x) >= |edge_len(g) - edge_len(x)|.  When that gap exceeds
     the largest edge length in the ball, g x has no position in the ball, and
     the pair is skipped without forming the product.
+
+    For x_i, x_j in the ball, g x_j = x_i exactly when g^-1 x_i = x_j, so on
+    every ball the matrix of lam(g^-1) is the transpose of that of lam(g).
+    One product g x_j therefore serves the pair {g, g^-1}: it puts c_g at
+    (i, j) and, when g^-1 is another term, c_{g^-1} at (j, i); g^-1 has g's
+    edge length, so the gap skips both alike.  No two terms share a slot
+    (g x = h x implies g = h), so nothing is summed.
     """
     import numpy as np
     from scipy.sparse import csr_matrix
 
-    top = max(ball.by_length, default=0)
-    rows, cols, vals = [], [], []
-    for g, c in x.terms.items():
+    for c in x.terms.values():
         if not isinstance(c, numbers.Real):
             raise OpsimError(f"coefficients must be real, got {c!r}")
+    top = max(ball.by_length, default=0)
+    rows, cols, vals = [], [], []
+    paired = set()
+    for g, c in x.terms.items():
+        if g.items in paired:
+            continue
+        near = [js for length, js in ball.by_length.items()
+                if abs(g.edge_length - length) <= top]
+        if not near:
+            continue
+        ginv = g.inverse()
+        cinv = x.terms.get(ginv) if ginv != g else None
+        if cinv is not None:
+            paired.add(ginv.items)
+            cinv = float(cinv)
         fc = float(c)
-        glen = g.edge_length
-        for length, js in ball.by_length.items():
-            if abs(glen - length) > top:
-                continue
+        for js in near:
             for j in js:
                 i = ball.position(g * ball.elements[j])
                 if i is not None:
                     rows.append(i)
                     cols.append(j)
                     vals.append(fc)
+                    if cinv is not None:
+                        rows.append(j)
+                        cols.append(i)
+                        vals.append(cinv)
     n = len(ball)
     mat = csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
     return BallOperator(mat)

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from gbs import opsim, pingpong
-from gbs.words import random_closed_word
+from gbs.words import GroupElement, random_closed_word
 
 
 def lam(g, c=1):
@@ -175,8 +175,9 @@ def _brute_force_operator(x, ball):
 
 def _supports(group, ball, edge, rng):
     """Random elements of a larger ball, the normest averaged elements
-    (when the fixture has a non-tree edge), and boundary terms y x^-1 with
-    edge_len(y) at the ball's top edge length."""
+    (when the fixture has a non-tree edge), boundary terms y x^-1 with
+    edge_len(y) at the ball's top edge length, and g, g^-1 at unequal
+    coefficients beside a term without its inverse and the identity."""
     wide = opsim.enumerate_ball(group, None, ball.radius + 2).elements
     yield opsim.FormalElement(
         {rng.choice(wide) * rng.choice(wide): Fraction(rng.randint(1, 5), 3)
@@ -197,6 +198,13 @@ def _supports(group, ball, edge, rng):
     yield opsim.FormalElement(
         {rng.choice(tops) * rng.choice(inner).inverse(): -1.5
          for _ in range(40)})
+    g = h = group.identity()
+    while g.is_identity():
+        g = rng.choice(inner) * rng.choice(inner)
+    while h.is_identity() or h in (g, g.inverse()):
+        h = rng.choice(inner)
+    yield opsim.FormalElement({g: Fraction(7, 2), g.inverse(): -2,
+                               h: Fraction(5, 3), group.identity(): 3})
 
 
 @pytest.mark.parametrize("name, radius, edge", [
@@ -225,6 +233,71 @@ def test_operator_of_matches_brute_force(request, name, radius, edge):
                     if gap == top and ball.position(g * el) is not None:
                         at_bound += 1
     assert skipped and visited and at_bound
+
+
+def _plain_ball(group, generators, radius):
+    """Reference BFS: every product g s of every frontier element."""
+    seen = {group.identity().items: group.identity()}
+    frontier = [group.identity()]
+    for _ in range(radius):
+        new = []
+        for g in frontier:
+            for s in generators:
+                h = g * s
+                if h.items not in seen:
+                    seen[h.items] = h
+                    new.append(h)
+        frontier = new
+    return [g.items for g in seen.values()]
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("bs23", 4), ("gbs2", 4), ("chain3", 4), ("two_vertex", 4), ("bs23", 6)])
+def test_enumerate_ball_matches_plain_bfs(request, name, radius):
+    group = request.getfixturevalue(name)
+    gens = opsim.default_generators(group)
+    for r in range(radius + 1):
+        ball = opsim.enumerate_ball(group, None, r)
+        assert [g.items for g in ball.elements] == \
+            _plain_ball(group, gens, r)
+
+
+def test_enumerate_ball_odd_generator_lists(bs23):
+    a = bs23.vertex_generator("P")
+    t = bs23.edge_generator("y")
+    for gens in ([a, t], [a, a, a.inverse()],
+                 [bs23.identity(), t, a, t.inverse()]):
+        for r in range(5):
+            ball = opsim.enumerate_ball(bs23, gens, r)
+            assert [g.items for g in ball.elements] == \
+                _plain_ball(bs23, gens, r)
+
+
+@pytest.mark.parametrize("name, radius, ball_mul, f_mul", [
+    ("bs23", 8, 7762, 6575), ("gbs2", 4, 866, 799)])
+def test_normest_product_counts(request, monkeypatch, name, radius,
+                                ball_mul, f_mul):
+    """One product per non-parent step of the BFS, and one per ball element
+    for f = lam(g) + lam(g^-1): a second product per {g, g^-1} pair or a
+    step back to the parent fails by count."""
+    group = request.getfixturevalue(name)
+    e = group.graph.edge_id("y")
+    t = group.edge_generator(e)
+    g = t * group.vertex_generator(group.graph.terminus[e]) * t.inverse()
+    f = lam(g) + lam(g.inverse())
+    calls = [0]
+    mul = GroupElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counting)
+    ball = opsim.enumerate_ball(group, None, radius)
+    assert (len(ball), calls[0]) == (f_mul, ball_mul)
+    calls[0] = 0
+    opsim.operator_of(f, ball)
+    assert calls[0] == f_mul
 
 
 def test_norm_identity_and_isometry(bs23):
