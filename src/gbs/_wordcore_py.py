@@ -6,8 +6,8 @@ out so that the reversed edge of ``e`` is ``e ^ 1``.  The only graph data
 needed here is the table ``alpha`` mapping an edge index to its nonzero
 injection integer; vertex bookkeeping lives in the callers.
 
-Conventions (shared with the Cython twin, which must stay line-for-line
-equivalent in behaviour):
+Conventions (shared with the Cython twin, which gives the same outputs,
+checked by ``tests/test_kernel.py``):
 
 * pinch: a segment ``e, r, bar(e)`` with ``alpha[e] | r`` collapses to the
   exponent ``alpha[bar(e)] * (r // alpha[e])``, merged into its neighbours;

@@ -291,19 +291,37 @@ def path_string(graph: GbsGraph, start: int, items, omit=frozenset()) -> str:
 # -- enumeration and random words ---------------------------------------------
 
 
+def _step_rule(group: GbsGroup):
+    """The step rule of canonical closed words at the base: ``steps(v,
+    items, remaining)`` lists the steps ``(e, w, residues)`` that may extend
+    the path word ``items`` at ``v``.  Edge e runs from v to a w from which
+    the walk still closes at the base within ``remaining`` edges, and
+    ``residues`` are the exponents that may stand in front of e: the
+    transversal ``range(|alpha(bar e)|)``, without 0 right after ``bar e``.
+    Edges with no residue left are omitted."""
+    graph = group.graph
+    # edges come in reversed pairs, so distance to the base is distance from it
+    dist = {v: len(p) for v, p in paths_from(graph, group.base).items()}
+    out = [[(e, graph.terminus[e], abs(graph.alpha[e ^ 1]))
+            for e in graph.edges_from(v)] for v in range(graph.n_vertices)]
+
+    def steps(v, items, remaining):
+        back = items[-2] ^ 1 if len(items) > 1 else None
+        return [(e, w, range(1 if e == back else 0, m)) for e, w, m in out[v]
+                if dist[w] < remaining and (m > 1 or e != back)]
+
+    return steps
+
+
 def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
     """Yield every canonical closed word at the base with at most
     ``max_edges`` edge letters and trailing exponent in
     ``[-exp_bound, exp_bound]``.
 
-    Canonical forms are generated directly (transversal residues, no zero
-    residue at a back-to-back pair), so each group element appears exactly
-    once.  Words are emitted as item tuples.
+    Canonical forms are generated directly by ``_step_rule``, so each group
+    element appears exactly once.  Words are emitted as item tuples.
     """
-    graph = group.graph
-    # edges come in reversed pairs, so distance to the base is distance from it
-    dist = {v: len(p) for v, p in paths_from(graph, group.base).items()}
-    out = [graph.edges_from(v) for v in range(graph.n_vertices)]
+    steps = _step_rule(group)
 
     def rec(v, items, remaining):
         if v == group.base:
@@ -313,17 +331,12 @@ def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
             items[-1] = 0
         if remaining == 0:
             return
-        last_edge = items[-2] if len(items) >= 2 else None
-        for e in out[v]:
-            if remaining - 1 < dist[graph.terminus[e]]:
-                continue
-            m = abs(graph.alpha[e ^ 1])
-            lo = 1 if (last_edge is not None and e == last_edge ^ 1) else 0
-            for rho in range(lo, m):
+        for e, w, residues in steps(v, items, remaining):
+            for rho in residues:
                 items[-1] = rho
                 items.append(e)
                 items.append(0)
-                yield from rec(graph.terminus[e], items, remaining - 1)
+                yield from rec(w, items, remaining - 1)
                 items.pop()
                 items.pop()
             items[-1] = 0
@@ -333,35 +346,22 @@ def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
 
 def random_closed_word(group: GbsGroup, rng: random.Random, max_edges: int,
                        exp_bound: int, nontrivial=True):
-    """Random canonical closed word: a random tree-constrained edge walk
-    with random transversal residues and trailing exponent."""
-    graph = group.graph
-    dist = {v: len(p) for v, p in paths_from(graph, group.base).items()}
+    """Random canonical closed word: a walk of random length whose steps
+    are drawn from ``_step_rule``, then a random trailing exponent.  A walk
+    that dead-ends is drawn again."""
+    steps = _step_rule(group)
     for _ in range(1000):
-        length = rng.randint(0, max_edges)
         items = [0]
         v = group.base
-        ok = True
-        for step in range(length):
-            remaining = length - step
-            options = [e for e in graph.edges_from(v)
-                       if dist[graph.terminus[e]] <= remaining - 1]
+        for remaining in range(rng.randint(0, max_edges), 0, -1):
+            options = steps(v, items, remaining)
             if not options:
-                ok = False
                 break
-            e = rng.choice(options)
-            m = abs(graph.alpha[e ^ 1])
-            lo = 1 if (len(items) >= 3 and items[-2] == e ^ 1) else 0
-            if lo >= m:
-                ok = False
-                break
-            items[-1] = rng.randint(lo, m - 1)
-            items.append(e)
-            items.append(0)
-        if not ok:
-            continue
-        items[-1] = rng.randint(-exp_bound, exp_bound)
-        if nontrivial and items == [0]:
-            continue
-        return GroupElement(group, items, _canonical=True)
+            e, v, residues = rng.choice(options)
+            items[-1] = rng.choice(residues)
+            items += (e, 0)
+        else:
+            items[-1] = rng.randint(-exp_bound, exp_bound)
+            if not (nontrivial and items == [0]):
+                return GroupElement(group, items, _canonical=True)
     raise RuntimeError("failed to sample a word")

@@ -1,15 +1,32 @@
+import os
 import pathlib
 
 import pytest
 
+import gbs
 from gbs.words import GbsGroup
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Environment for test subprocesses: they import the gbs that the tests import.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(pathlib.Path(gbs.__file__).resolve().parent.parent),
+    os.environ.get("PYTHONPATH")])))
 
 BS23_TEXT = (FIXTURES / "bs23.gbs").read_text()
 GBS2_TEXT = (FIXTURES / "gbs2.gbs").read_text()
 TWO_VERTEX_TEXT = (FIXTURES / "two_vertex.gbs").read_text()
 CHAIN3_TEXT = (FIXTURES / "chain3.gbs").read_text()
+
+
+def pytest_configure(config):
+    # With database=None Hypothesis keeps no examples, but during collection
+    # it still caches the constants of local modules in its home directory,
+    # .hypothesis/ in the working directory by default.  Keep that cache in
+    # pytest's own cache directory instead.
+    if config.pluginmanager.has_plugin("cacheprovider"):
+        from hypothesis import configuration
+        configuration.set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def bs_text(n, m):

@@ -109,12 +109,16 @@ def test_criterion_04_norm_decay(bs23):
 def test_criterion_05_faithfulness(bs23, gbs2):
     with _Timer(30.0) as tm:
         rng = random.Random(2024)
+        edge_words = {bs23: 0, gbs2: 0}
         for group in (bs23, gbs2):
             for _ in range(200):
                 g = random_closed_word(group, rng, 6, 8)
                 _, depth = tree.moved_vertex(group, g, 2 * g.edge_length + 2)
                 assert depth <= 2 * g.edge_length + 2
-    tm.done("criterion 5: 200 random words per fixture move a tree vertex")
+                edge_words[group] += g.edge_length > 0
+        assert edge_words[gbs2] >= 100
+    tm.done(f"criterion 5: 200 random words per fixture move a tree vertex "
+            f"({edge_words[gbs2]} gbs2 words carry an edge letter)")
 
 
 def test_criterion_06_tree_shape(bs23):
@@ -129,11 +133,13 @@ def test_criterion_06_tree_shape(bs23):
 def test_criterion_07_normal_form_confluence(bs23, gbs2):
     with _Timer(30.0) as tm:
         rng = random.Random(4096)
+        edge_words = {bs23: 0, gbs2: 0}
         for group in (bs23, gbs2):
             for _ in range(5000):
                 g = random_closed_word(group, rng, 5, 8, nontrivial=False)
                 mutated = _insert_pinch(group, g.items, rng)
                 assert group.element(mutated) == g
+                edge_words[group] += g.edge_length > 0
         for group in (bs23, gbs2):
             e = group.identity()
             for _ in range(500):
@@ -143,8 +149,12 @@ def test_criterion_07_normal_form_confluence(bs23, gbs2):
                 assert (x * y) * z == x * (y * z)
                 assert x * x.inverse() == e
                 assert e * x == x == x * e
-    tm.done("criterion 7: 10^4 pinch-insertion round trips, "
-            "10^3 group-axiom triples")
+                edge_words[group] += sum(w.edge_length > 0 for w in (x, y, z))
+        # of the 6,500 gbs2 draws
+        assert edge_words[gbs2] >= 3250
+    tm.done(f"criterion 7: 10^4 pinch-insertion round trips, "
+            f"10^3 group-axiom triples ({edge_words[gbs2]} of 6500 gbs2 "
+            f"words carry an edge letter)")
 
 
 def test_criterion_08_intersection_law(bs23):

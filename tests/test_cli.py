@@ -6,7 +6,7 @@ import pytest
 
 from gbs.words import MAX_EDGE_LENGTH
 
-from conftest import FIXTURES, bs_text
+from conftest import FIXTURES, SUBPROCESS_ENV, bs_text
 
 BS23 = str(FIXTURES / "bs23.gbs")
 GBS2 = str(FIXTURES / "gbs2.gbs")
@@ -14,7 +14,7 @@ GBS2 = str(FIXTURES / "gbs2.gbs")
 
 def run(*args):
     return subprocess.run([sys.executable, "-m", "gbs", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
 
 
 def test_check(tmp_path):
@@ -159,7 +159,7 @@ def test_exact_commands_leave_numeric_stack_unloaded(statement, argv):
     scipy (a fresh interpreter per case, so nothing is loaded already)."""
     code = _NUMERIC_PROBE.format(statement=statement)
     r = subprocess.run([sys.executable, "-c", code, *argv],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stderr.rsplit("\n", 1)[-1] == ""
 
@@ -168,7 +168,7 @@ def test_normest_loads_numeric_stack():
     code = _NUMERIC_PROBE.format(statement=_MAIN)
     r = subprocess.run([sys.executable, "-c", code, "normest", BS23,
                         "--edge", "y", "--radius", "2", "--m", "4,9"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stderr.rsplit("\n", 1)[-1] == "numpy,scipy"
     assert r.stdout == ("m,bound,estimate,ball_size,iterations\n"

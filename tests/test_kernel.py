@@ -7,7 +7,6 @@ The tests skip only when there is no compiler or no ``Python.h``.
 """
 
 import importlib.util
-import os
 import random
 import shlex
 import shutil
@@ -21,6 +20,8 @@ import pytest
 import gbs
 from gbs import _wordcore_py as pure
 from gbs import wordcore
+
+from conftest import SUBPROCESS_ENV
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +124,8 @@ def test_selected_backend_reported():
     # imports; the benchmark relies on it.  Fresh interpreters, since the
     # selector runs once at import; without the variable the stand-in
     # extension must win, which shows the probe can fail.
-    src = str(Path(gbs.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for pure_flag in ("1", ""):
-        env = dict(os.environ, GBS_PURE_KERNEL=pure_flag, PYTHONPATH=path)
+        env = dict(SUBPROCESS_ENV, GBS_PURE_KERNEL=pure_flag)
         r = subprocess.run([sys.executable, "-c", _SELECTOR_PROBE], env=env,
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr

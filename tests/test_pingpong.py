@@ -217,9 +217,8 @@ def _random_product(data, rng, length):
 
 
 # On bs23 seeds 49 and 27 make the perturbed conjugator fail late (at j = 2
-# and j = 8), after thousands of certified pairs.  On gbs2
-# random_closed_word never leaves the base vertex and yields only vertex
-# powers, so the all-random conjugators come from _random_product.
+# and j = 8), after thousands of certified pairs.  The all-random
+# conjugators are products of the generators a, b and t (_random_product).
 @pytest.mark.parametrize("name, big_l, word_bound, exp_bound, seed", [
     ("bs23", 2, 1, 2, 49),
     ("bs23", 1, 2, 2, 27),

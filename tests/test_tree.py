@@ -233,6 +233,12 @@ def test_stabilizer_cover_amalgam_needs_proper_subgroup():
         tree.stabilizer_cover(group, group.identity(), "w")
 
 
+def _vertex_group_power(group, v, k):
+    """h a^k h^-1, a^k the k-th power of the vertex generator of v = h G."""
+    rep = v.rep_items()
+    return group.element(rep[:-1] + [k] + wordcore.inv_items(rep)[1:])
+
+
 def test_stabilizer_cover_gbs2_tree_edge(gbs2):
     g = gbs2.edge_generator("y")
     cover = tree.stabilizer_cover(gbs2, g, "w")
@@ -240,10 +246,21 @@ def test_stabilizer_cover_gbs2_tree_edge(gbs2):
     target = tree.act(gbs2, g,
                       tree.coset_vertex(gbs2, gbs2.geodesic_items(q), q))
     words = [gbs2.element(list(it)) for it in closed_words(gbs2, 4, 3)]
-    # include the joint stabilizer's obvious members
-    ap = gbs2.vertex_generator("P")
-    words += [g * ap ** k * g.inverse() for k in range(1, 13)]
-    assert _joint_stabilizer_implies(gbs2, cover, target, words) >= 2
+    assert _joint_stabilizer_implies(gbs2, cover, target, words) >= 1
+    # The joint stabilizer lies in the cyclic stabilizer of each cover vertex,
+    # so the least power of that vertex group that fixes the other vertex
+    # generates it.  Its members: products of powers of both generators.
+    gens = []
+    for v, other in (cover, cover[::-1]):
+        k = next(k for k in range(1, 100) if tree.stabilizes(
+            gbs2, _vertex_group_power(gbs2, v, k), other))
+        gens.append(_vertex_group_power(gbs2, v, k))
+    members = {gens[0] ** i * gens[1] ** j
+               for i in range(-5, 6) for j in range(-5, 6)}
+    members.discard(gbs2.identity())
+    assert len(members) >= 20
+    assert (_joint_stabilizer_implies(gbs2, cover, target, members)
+            == len(members))
 
 
 def test_exports(bs23):

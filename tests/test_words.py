@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbs import _wordcore_py as pure
 from gbs import wordcore
 from gbs.graphs import GraphError, paths_from
-from gbs.words import (MAX_EDGE_LENGTH, WordError, closed_words,
+from gbs.words import (MAX_EDGE_LENGTH, GbsGroup, WordError, closed_words,
                        random_closed_word)
+
+from conftest import random_graph_text
 
 
 def test_reduce_defining_relation(bs23):
@@ -203,6 +206,50 @@ def test_reduced_closed_words_are_nontrivial(bs23, gbs2):
                 g = group.element(list(items))
                 assert not g.is_identity()
                 assert g.items == items  # already canonical
+
+
+def test_random_closed_word_draws_closed_words(bs23, gbs2, two_vertex,
+                                               chain3):
+    """Every draw is one of ``closed_words``' words with the same bounds, and
+    on the multi-vertex fixtures most draws walk an edge.  The random graphs
+    include alpha = +-1, where a walk can dead-end after a back-to-back
+    pair and is drawn again; on ``dead_end`` every walk of positive length
+    does."""
+    dead_end = GbsGroup.from_text(
+        "vertex P\nvertex Q\nedge w : P -> Q alpha 1 1\n")
+    rng = random.Random(3)
+    randoms = [GbsGroup.from_text(random_graph_text(rng)) for _ in range(30)]
+    # the graphs whose word sets stay small
+    randoms = [g for g in randoms
+               if sum(1 for _ in closed_words(g, 4, 3)) <= 50_000]
+    assert sum(g.graph.n_vertices > 1 and 1 in map(abs, g.graph.alpha)
+               for g in randoms) >= 5
+    walkers = (gbs2, two_vertex, chain3)
+    rng = random.Random(5)
+    for group in [bs23, *walkers, dead_end, *randoms]:
+        words = set(closed_words(group, 4, 3))
+        draws = [random_closed_word(group, rng, 4, 3, nontrivial=False).items
+                 for _ in range(2000 if group in walkers else 200)]
+        assert set(draws) <= words
+        if group in walkers:
+            assert sum(len(w) > 1 for w in draws) > len(draws) // 2
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_group_axioms_on_random_graphs(rng):
+    """Associativity, inverses, the identity and canonical idempotence on a
+    random graph, with words from ``random_closed_word``."""
+    group = GbsGroup.from_text(random_graph_text(rng))
+    alpha = group.graph.alpha
+    e = group.identity()
+    x, y, z = (random_closed_word(group, rng, 4, 6, nontrivial=False)
+               for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert x * x.inverse() == e == x.inverse() * x
+    assert e * x == x == x * e
+    for w in (x, y, x * y, x.inverse()):
+        assert wordcore.canon_items(list(w.items), alpha) == list(w.items)
 
 
 def _random_order_reduce(group, items, rng):
