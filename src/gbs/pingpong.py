@@ -17,8 +17,9 @@ c, d in {a, e} protecting the junctions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import groupby, islice
 from math import lcm
 
 from gbs import wordcore
@@ -114,6 +115,17 @@ def in_Sj(f: GroupElement, data: Ce2Data, j: int) -> bool:
     return _head(f.items[1::2], data.edge, len(pattern)) == pattern
 
 
+def _sj_index(letters, edge: int) -> int:
+    """The j whose S'_j pattern starts ``letters``' letters from the pair
+    of ``edge``, or 0 when there is none (the S'_j are disjoint)."""
+    head = _head(letters, edge, len(letters))
+    bar = edge ^ 1
+    j = 0
+    while head[2 * j:2 * j + 2] == [bar, edge]:
+        j += 1
+    return j if head[2 * j:2 * j + 2] == [bar, bar] else 0
+
+
 def _sj_decider(edge: int, j: int):
     """A function of the edge letters of v that decides v (pi_1 minus S'_j)
     inside S'_j: None when it holds for every f, else k with f = v^k
@@ -169,15 +181,28 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     letters, putting two consecutive +1 in P.  Conversely f = 1 fails when
     v is outside S'_j, and f = v^-1 when v^-1 is.
 
+    The two windows need only the edge letters of v, and those come from
+    one product per (j, skeleton).  Write g = s a^k, where the skeleton s
+    (a word here, not the signs above) is g's word with trailing exponent
+    0; closed_words yields the g of one skeleton one after another.  In the
+    product z_j g, the pinch loop never tests g's trailing exponent (it only
+    adds it in when g cancels completely) and the carry sweep only adds to
+    it, so z_j g is w = z_j s with k added to its trailing exponent.  The
+    product w z_j^-1 again changes letters only at the seam, and its carries
+    change exponents only, so the letters of v are letters(w)[:m-d] +
+    letters(z_j^-1)[d:], where m is the letter count of w and d the number
+    of pinches (``_seam_depth``).  The verdict is read once per (j, s, d);
+    only a failing pair builds v.
+
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
     with at most word_bound edge letters and trailing exponent within
-    exponent_bound.
+    exponent_bound.  The S'_j are disjoint, so one pass over the f gives
+    each its j, or none.
     """
     if word_bound < 0 or exponent_bound < 0:
         raise PingPongError("word and exponent bounds must be nonnegative")
     group = data.group
-    alpha = group.graph.alpha
     tvert = group.graph.terminus[data.edge]
 
     gs = []
@@ -187,44 +212,71 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
         if group.cyclic_membership(el, tvert, data.N) is not None:
             excluded += 1
             continue
-        gs.append(list(items))
-    f_letters = [items[1::2]
-                 for items in closed_words(group, word_bound, exponent_bound)]
+        gs.append(items)
+    skeletons = [(list(s) + [0], [g[-1] for g in run])
+                 for s, run in groupby(gs, key=lambda g: g[:-1])]
+    in_sj = Counter(_sj_index(f[1::2], data.edge)
+                    for f in closed_words(group, word_bound, exponent_bound))
+    f_count = in_sj.total()
+    pools = [f_count - in_sj[j] for j in range(len(data.z) + 1)]
 
     pairs = certified = 0
     counterexample = None
-    for j, z in enumerate(data.z, 1):
-        zj, zj_inv = list(z.items), list(z.inverse().items)
-        pattern = _sj_letters(data.edge, j)
-        pool = sum(_head(letters, data.edge, len(pattern)) != pattern
-                   for letters in f_letters)
-        failing_power = _sj_decider(data.edge, j)
-        for g in gs:
-            v = wordcore.mul_items(wordcore.mul_items(zj, g, alpha),
-                                   zj_inv, alpha)
-            k = failing_power(v[1::2])
-            if k is not None:
-                v = GroupElement(group, v, _canonical=True)
-                f = v ** k
-                counterexample = {
-                    "j": j, "g": str(GroupElement(group, g, _canonical=True)),
-                    "f": str(f), "product": str(v * f)}
-                break
-            certified += 1
-            pairs += pool
-        if counterexample:
+    for j, s, k, power in _failing_powers(data, skeletons):
+        if power is not None:
+            z = data.z[j - 1]
+            g = GroupElement(group, s[:-1] + [k], _canonical=True)
+            v = z * g * z.inverse()
+            f = v ** power
+            counterexample = {"j": j, "g": str(g), "f": str(f),
+                              "product": str(v * f)}
             break
+        certified += 1
+        pairs += pools[j]
 
     return PingPongReport(
         pairs_checked=pairs,
         passed=counterexample is None,
         counterexample=counterexample,
         g_count=len(gs),
-        f_count=len(f_letters),
+        f_count=f_count,
         excluded_g=excluded,
         j_count=len(data.z),
         certified=certified,
     )
+
+
+def _failing_powers(data: Ce2Data, skeletons):
+    """Yield (j, s, k, failing power of v = z_j s a^k z_j^-1) for every j
+    and every skeleton s with its trailing exponents k, in that order."""
+    alpha = data.group.graph.alpha
+    for j, z in enumerate(data.z, 1):
+        zj, zj_inv = list(z.items), list(z.inverse().items)
+        tail = zj_inv[1::2]
+        failing_power = _sj_decider(data.edge, j)
+        for s, ks in skeletons:
+            w = wordcore.mul_items(zj, s, alpha)
+            head = w[1::2]
+            powers = {}                 # seam depth -> failing power
+            for k in ks:
+                d = _seam_depth(w, k, zj_inv, alpha)
+                if d not in powers:
+                    powers[d] = failing_power(head[:len(head) - d] + tail[d:])
+                yield j, s, k, powers[d]
+
+
+def _seam_depth(w, k, b, alpha) -> int:
+    """Number of pinches in the product of the canonical words ``w``, with
+    its trailing exponent raised by ``k``, and ``b``: the pinch loop of
+    ``mul_items``, run without copying ``w``."""
+    r = w[-1] + k + b[0]
+    i, p = 1, len(w) - 2
+    while (i < len(b) and p > 0 and w[p] == b[i] ^ 1
+           and r % alpha[w[p]] == 0):
+        r = w[p - 1] + alpha[b[i]] * (r // alpha[w[p]]) + b[i + 1]
+        i += 2
+        p -= 2
+    return i // 2
 
 
 _CD_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))

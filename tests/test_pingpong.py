@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from gbs.graphs import parse_graph
 from gbs.indices import modular_value
 from gbs.words import GbsGroup, GroupElement, closed_words, random_closed_word
 
-from conftest import bs_text
+from conftest import bs_text, random_graph_text
 
 
 @pytest.fixture(scope="module")
@@ -196,13 +197,14 @@ def _brute_force_certified(data, rep, word_bound, exponent_bound):
     gs = [g for g in gs if group.cyclic_membership(g, tvert, data.N) is None]
     fs = [el(f) for f in closed_words(group, word_bound, exponent_bound)]
     order = [(j, g) for j in range(1, len(data.z) + 1) for g in gs]
+    pools = {j: [f for f in fs if not pingpong.in_Sj(f, data, j)]
+             for j in range(1, len(data.z) + 1)}
     pairs = 0
     for j, g in order[:rep.certified]:
         z = data.z[j - 1]
         v = z * g * z.inverse()
-        pool = [f for f in fs if not pingpong.in_Sj(f, data, j)]
-        assert all(pingpong.in_Sj(v * f, data, j) for f in pool), (j, g)
-        pairs += len(pool)
+        assert all(pingpong.in_Sj(v * f, data, j) for f in pools[j]), (j, g)
+        pairs += len(pools[j])
     assert pairs == rep.pairs_checked
     return order[rep.certified] if rep.certified < len(order) else None
 
@@ -240,26 +242,134 @@ def test_verify_matches_brute_force(request, name, big_l, word_bound,
         replace(data, z=tuple(_random_product(data, rng, 16)
                               for _ in data.z)),
     ]
-    outcomes = []
-    for case in cases:
-        rep = pingpong.verify_pingpong(case, word_bound, exp_bound)
-        failing = _brute_force_certified(case, rep, word_bound, exp_bound)
-        assert rep.passed == (failing is None)
-        outcomes.append(rep.passed)
-        if rep.passed:
-            assert rep.counterexample is None
-            continue
-        # the counterexample is the next pair, and it fails by a real product
-        ce = rep.counterexample
-        j, g = failing
-        assert (ce["j"], ce["g"]) == (j, str(g))
-        z = case.z[j - 1]
-        f = group.from_string(ce["f"])
-        product = group.from_string(ce["product"])
-        assert z * g * z.inverse() * f == product
-        assert not pingpong.in_Sj(f, case, j)
-        assert not pingpong.in_Sj(product, case, j)
+    outcomes = [_matches_brute_force(case, word_bound, exp_bound)
+                 for case in cases]
     assert outcomes[:2] == [True, False]
+
+
+def _matches_brute_force(case, word_bound, exp_bound):
+    """Run the verifier on ``case``, check its report against
+    ``_brute_force_certified`` and return its verdict.  A counterexample
+    must be the next pair and fail by a real product."""
+    group = case.group
+    rep = pingpong.verify_pingpong(case, word_bound, exp_bound)
+    failing = _brute_force_certified(case, rep, word_bound, exp_bound)
+    assert rep.passed == (failing is None)
+    if rep.passed:
+        assert rep.counterexample is None
+        return True
+    ce = rep.counterexample
+    j, g = failing
+    assert (ce["j"], ce["g"]) == (j, str(g))
+    z = case.z[j - 1]
+    f = group.from_string(ce["f"])
+    product = group.from_string(ce["product"])
+    assert z * g * z.inverse() * f == product
+    assert not pingpong.in_Sj(f, case, j)
+    assert not pingpong.in_Sj(product, case, j)
+    return False
+
+
+def _random_ce2(count, big_l):
+    """build_ce2 data on the first edge it accepts, for each of the first
+    ``count`` seeded random graphs that have one."""
+    rng = random.Random(0)
+    out = []
+    while len(out) < count:
+        group = GbsGroup.from_text(random_graph_text(rng))
+        for e in range(group.graph.n_edges):
+            try:
+                out.append(pingpong.build_ce2(group, e, big_l))
+                break
+            except pingpong.PingPongError:
+                pass
+    return out
+
+
+def test_verify_matches_brute_force_on_random_graphs():
+    """The brute-force oracle beyond the two fixtures, on 20 random graphs:
+    the real conjugators, the negative control, and one conjugator with a
+    random word in front, which changes the head of its v (some of these
+    still pass)."""
+    rng = random.Random(23)
+    outcomes = Counter()
+    for data in _random_ce2(20, 1):
+        k = rng.randrange(len(data.z))
+        perturbed = list(data.z)
+        perturbed[k] = random_closed_word(data.group, rng, 2, 3) * perturbed[k]
+        cases = (("real", data),
+                 ("control", pingpong.make_negative_control(data)),
+                 ("perturbed", replace(data, z=tuple(perturbed))))
+        for kind, case in cases:
+            outcomes[kind, _matches_brute_force(case, 1, 1)] += 1
+    assert outcomes["real", True] == outcomes["control", False] == 20
+    assert outcomes["perturbed", True] and outcomes["perturbed", False]
+
+
+def _seam_check(a, b, k, alpha):
+    """Check ``_seam_depth`` against the kernel product of ``a``, with its
+    trailing exponent raised by k, and ``b``; return the depth."""
+    ak = a[:-1] + [a[-1] + k]
+    product = wordcore.mul_items(ak, b, alpha)
+    d = pingpong._seam_depth(a, k, b, alpha)
+    # each pinch removes one letter and one exponent from each side
+    assert 4 * d == len(a) + len(b) - 1 - len(product)
+    n = len(a) // 2
+    assert product[1::2] == a[1::2][:n - d] + b[1::2][d:]
+    return d
+
+
+def test_seam_depth_matches_kernel(bs23, gbs2, two_vertex, chain3):
+    """The pinch count and the letters it predicts, against mul_items, on
+    a = x y and b = y^-1 z over the fixtures and seeded random graphs, and
+    on the verifier's own z_j s and z_j^-1; raising b's trailing exponent
+    by k raises the product's by k."""
+    rng = random.Random(19)
+    groups = [bs23, gbs2, two_vertex, chain3]
+    groups += [GbsGroup.from_text(random_graph_text(rng)) for _ in range(20)]
+    depths = Counter()
+    for group in groups:
+        alpha = group.graph.alpha
+        for _ in range(20):
+            x, y, z = (random_closed_word(group, rng, 4, 3, nontrivial=False)
+                       for _ in range(3))
+            a, b = list((x * y).items), list((y.inverse() * z).items)
+            ab = wordcore.mul_items(a, b, alpha)
+            for k in range(-6, 7):
+                depths[_seam_check(a, b, k, alpha)] += 1
+                bk = b[:-1] + [b[-1] + k]
+                assert wordcore.mul_items(a, bk, alpha) == ab[:-1] + [ab[-1] + k]
+    for group in (bs23, gbs2):
+        data = pingpong.build_ce2(group, "y", 2)
+        alpha = group.graph.alpha
+        for z in data.z:
+            zj, zj_inv = list(z.items), list(z.inverse().items)
+            for s in closed_words(group, 2, 0):
+                w = wordcore.mul_items(zj, list(s), alpha)
+                for k in range(-6, 7):
+                    depths[_seam_check(w, zj_inv, k, alpha)] += 1
+    assert set(range(7)) <= set(depths)
+
+
+@pytest.mark.parametrize("name, products", [("bs23", 910), ("gbs2", 1435)])
+def test_verify_product_counts(request, monkeypatch, name, products):
+    """Two products per g for the <a^N> exclusion and one per (j, skeleton)
+    for the verdicts: a product per (j, g) fails by count."""
+    group = request.getfixturevalue(name)
+    data = pingpong.build_ce2(group, "y", 2)
+    skeletons = sum(1 for _ in closed_words(group, 2, 0))
+    calls = [0]
+    mul = wordcore.mul_items
+
+    def counting(a, b, alpha):
+        calls[0] += 1
+        return mul(a, b, alpha)
+
+    monkeypatch.setattr(wordcore, "mul_items", counting)
+    rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
+    assert rep.passed
+    assert calls[0] == products == (2 * (rep.g_count + rep.excluded_g)
+                                    + rep.j_count * skeletons)
 
 
 def test_verify_gbs2_at_spec_bounds(gbs2):
