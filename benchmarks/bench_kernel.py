@@ -3,9 +3,10 @@
 
 Two workloads mirror the package's hot paths:
 
-* canon: full canonicalization of random raw words (ball enumeration);
+* canon: full canonicalization of random raw words (building elements
+  from raw words);
 * product: seam multiplication of a long canonical word by short ones
-  (the inner loop of the ping-pong verifier).
+  (the step g * s of the ball enumeration).
 
 Usage: python benchmarks/bench_kernel.py [--words N] [--repeat K]
 """

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
+from itertools import islice
 from math import lcm
 
 from gbs import wordcore
@@ -97,51 +97,42 @@ def averaging_elements(data: Ce2Data, count: int):
     return out
 
 
-def _sj_letters(edge: int, j: int):
-    """The S'_j pattern (-1, +1)^j (-1, -1) as letters (+1 is ``edge``)."""
-    bar = edge ^ 1
-    return [bar, edge] * j + [bar, bar]
-
-
 def _head(letters, edge: int, count: int):
     """The first ``count`` letters of ``letters`` from the pair of ``edge``."""
     return list(islice(filter({edge, edge ^ 1}.__contains__, letters), count))
 
 
 def in_Sj(f: GroupElement, data: Ce2Data, j: int) -> bool:
-    """Membership in S'_j: y-length >= 2j+2 and the sign prefix is j copies
-    of (-1, +1) followed by (-1, -1)."""
-    pattern = _sj_letters(data.edge, j)
-    return _head(f.items[1::2], data.edge, len(pattern)) == pattern
+    """Membership in S'_j, j >= 1: its pattern starts f's y-signs."""
+    return _sj_index(f.items[1::2], data.edge) == j
 
 
 def _sj_index(letters, edge: int) -> int:
-    """The j whose S'_j pattern starts ``letters``' letters from the pair
-    of ``edge``, or 0 when there is none (the S'_j are disjoint)."""
-    head = _head(letters, edge, len(letters))
+    """The j whose S'_j pattern (-1, +1)^j (-1, -1) starts ``letters``'
+    letters from the pair of ``edge`` (+1 is ``edge``), or 0 when there is
+    none (the S'_j are disjoint).  Reads no letter past the pattern."""
     bar = edge ^ 1
+    head = filter({edge, bar}.__contains__, letters)
     j = 0
-    while head[2 * j:2 * j + 2] == [bar, edge]:
-        j += 1
-    return j if head[2 * j:2 * j + 2] == [bar, bar] else 0
-
-
-def _sj_decider(edge: int, j: int):
-    """A function of the edge letters of v that decides v (pi_1 minus S'_j)
-    inside S'_j: None when it holds for every f, else k with f = v^k
-    failing, 0 (f = 1) when v is outside S'_j and -1 (f = v^-1) when v^-1
-    is.  v^-1's letters are v's reversed and barred."""
-    pattern, barred = _sj_letters(edge, j), _sj_letters(edge ^ 1, j)
-    in_pair = {edge, edge ^ 1}.__contains__
-    p = len(pattern)
-
-    def failing_power(letters):
-        if list(islice(filter(in_pair, letters), p)) != pattern:
+    for first, second in zip(head, head):
+        if first != bar:
             return 0
-        if list(islice(filter(in_pair, reversed(letters)), p)) != barred:
-            return -1
-        return None
-    return failing_power
+        if second == bar:
+            return j
+        j += 1
+    return 0
+
+
+def _failing_power(letters, edge: int, j: int):
+    """Decide v (pi_1 minus S'_j) inside S'_j from the edge letters of v:
+    None when it holds for every f, else k with f = v^k failing, 0 (f = 1)
+    when v is outside S'_j and -1 (f = v^-1) when v^-1 is.  v^-1's letters
+    are v's reversed and barred."""
+    if _sj_index(letters, edge) != j:
+        return 0
+    if _sj_index(reversed(letters), edge ^ 1) != j:
+        return -1
+    return None
 
 
 @dataclass(frozen=True)
@@ -181,44 +172,43 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     letters, putting two consecutive +1 in P.  Conversely f = 1 fails when
     v is outside S'_j, and f = v^-1 when v^-1 is.
 
-    The two windows need only the edge letters of v, and those come from
-    one product per (j, skeleton).  Write g = s a^k, where the skeleton s
-    (a word here, not the signs above) is g's word with trailing exponent
-    0; closed_words yields the g of one skeleton one after another.  In the
-    product z_j g, the pinch loop never tests g's trailing exponent (it only
-    adds it in when g cancels completely) and the carry sweep only adds to
-    it, so z_j g is w = z_j s with k added to its trailing exponent.  The
-    product w z_j^-1 again changes letters only at the seam, and its carries
-    change exponents only, so the letters of v are letters(w)[:m-d] +
-    letters(z_j^-1)[d:], where m is the letter count of w and d the number
-    of pinches (``_seam_depth``).  The verdict is read once per (j, s, d);
-    only a failing pair builds v.
+    Write g = s a^k, where the skeleton s (a word here, not the signs
+    above) is g's word with trailing exponent 0.  For canonical c, c g is
+    c s with k added to its trailing exponent: the pinch loop never tests
+    s's trailing exponent and the carry sweep only adds to it.  A product
+    of that word and a canonical b changes letters only at the seam, and
+    its carries change exponents only, so its letters are those of c s
+    less the last d and of b less the first d, d the number of pinches
+    (``_seam_depth``).  So one product per skeleton and one per (j,
+    skeleton) do all the work:
+
+    - g lies in <a^N> iff h^-1 g h = a^(N q) at t(y), h the tree word from
+      the base to t(y); h^-1 has zero exponents, so it is canonical.  With
+      c = h^-1 and b = h, that holds iff the seam pinches every letter of
+      both sides and leaves a multiple of N (``_outside_cyclic``).
+    - With c = z_j and b = z_j^-1, d gives the letters of v, so the verdict
+      is read once per (j, s, d); only a failing pair builds v.
 
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
     with at most word_bound edge letters and trailing exponent within
-    exponent_bound.  The S'_j are disjoint, so one pass over the f gives
-    each its j, or none.
+    exponent_bound.  The S'_j are disjoint and depend on letters alone, so
+    one pass over the skeletons of the f gives each its j, or none.
     """
     if word_bound < 0 or exponent_bound < 0:
         raise PingPongError("word and exponent bounds must be nonnegative")
     group = data.group
-    tvert = group.graph.terminus[data.edge]
+    alpha = group.graph.alpha
+    h = group.geodesic_items(group.graph.terminus[data.edge])
+    ks = range(-exponent_bound, exponent_bound + 1)
 
-    gs = []
-    excluded = 0
-    for items in closed_words(group, data.L, exponent_bound):
-        el = GroupElement(group, list(items), _canonical=True)
-        if group.cyclic_membership(el, tvert, data.N) is not None:
-            excluded += 1
-            continue
-        gs.append(items)
-    skeletons = [(list(s) + [0], [g[-1] for g in run])
-                 for s, run in groupby(gs, key=lambda g: g[:-1])]
+    skeletons = [(s, _outside_cyclic(s, ks, h, data.N, alpha))
+                 for s in map(list, closed_words(group, data.L, 0))]
+    g_count = sum(len(kept) for _, kept in skeletons)
     in_sj = Counter(_sj_index(f[1::2], data.edge)
-                    for f in closed_words(group, word_bound, exponent_bound))
-    f_count = in_sj.total()
-    pools = [f_count - in_sj[j] for j in range(len(data.z) + 1)]
+                    for f in closed_words(group, word_bound, 0))
+    f_count = in_sj.total() * len(ks)
+    pools = [f_count - in_sj[j] * len(ks) for j in range(len(data.z) + 1)]
 
     pairs = certified = 0
     counterexample = None
@@ -238,12 +228,21 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
         pairs_checked=pairs,
         passed=counterexample is None,
         counterexample=counterexample,
-        g_count=len(gs),
+        g_count=g_count,
         f_count=f_count,
-        excluded_g=excluded,
+        excluded_g=len(skeletons) * len(ks) - g_count,
         j_count=len(data.z),
         certified=certified,
     )
+
+
+def _outside_cyclic(s, ks, h, n: int, alpha):
+    """The k in ``ks`` with s a^k outside <a_P^n>, for a skeleton ``s`` and
+    the tree word ``h`` from the base to P (see ``verify_pingpong``)."""
+    u = wordcore.mul_items(wordcore.inv_items(h), s, alpha)
+    seams = (_seam_depth(u, k, h, alpha) for k in ks)
+    return [k for k, (d, r) in zip(ks, seams)
+            if not (2 * d == len(u) - 1 == len(h) - 1 and r % n == 0)]
 
 
 def _failing_powers(data: Ce2Data, skeletons):
@@ -253,22 +252,23 @@ def _failing_powers(data: Ce2Data, skeletons):
     for j, z in enumerate(data.z, 1):
         zj, zj_inv = list(z.items), list(z.inverse().items)
         tail = zj_inv[1::2]
-        failing_power = _sj_decider(data.edge, j)
         for s, ks in skeletons:
             w = wordcore.mul_items(zj, s, alpha)
             head = w[1::2]
             powers = {}                 # seam depth -> failing power
             for k in ks:
-                d = _seam_depth(w, k, zj_inv, alpha)
+                d = _seam_depth(w, k, zj_inv, alpha)[0]
                 if d not in powers:
-                    powers[d] = failing_power(head[:len(head) - d] + tail[d:])
+                    powers[d] = _failing_power(
+                        head[:len(head) - d] + tail[d:], data.edge, j)
                 yield j, s, k, powers[d]
 
 
-def _seam_depth(w, k, b, alpha) -> int:
-    """Number of pinches in the product of the canonical words ``w``, with
-    its trailing exponent raised by ``k``, and ``b``: the pinch loop of
-    ``mul_items``, run without copying ``w``."""
+def _seam_depth(w, k, b, alpha):
+    """(d, r): the d pinches in the product of the canonical words ``w``,
+    with its trailing exponent raised by ``k``, and ``b``, and the exponent
+    r left at the seam before carries (the whole product when both sides
+    collapse).  ``mul_items``' pinch loop, run without copying ``w``."""
     r = w[-1] + k + b[0]
     i, p = 1, len(w) - 2
     while (i < len(b) and p > 0 and w[p] == b[i] ^ 1
@@ -276,7 +276,7 @@ def _seam_depth(w, k, b, alpha) -> int:
         r = w[p - 1] + alpha[b[i]] * (r // alpha[w[p]]) + b[i + 1]
         i += 2
         p -= 2
-    return i // 2
+    return i // 2, r
 
 
 _CD_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))

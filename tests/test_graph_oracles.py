@@ -2,12 +2,14 @@
 against brute-force oracles on seeded random graphs."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from gbs.graphs import (Decomposition, GraphError, compute_spanning_tree,
                         decompose, paths_from, parse_graph)
-from gbs.indices import TheoremVerdict, check_theorem, kappa_pair
+from gbs.indices import (TheoremVerdict, check_theorem, kappa_pair,
+                         modular_value)
 from gbs.words import GbsGroup, closed_words
 
 from conftest import random_graph_text
@@ -167,6 +169,24 @@ def test_check_theorem_matches_kappa_pairs():
             all_proper=all(abs(a) >= 2 for a in graph.alpha))
         met.add(verdict.sufficient_conditions_met)
     assert met == {True, False}
+
+
+def test_kappa_ratio_is_modular_value():
+    """kappa_y / kappa_ybar = |Delta(g_y)| on every non-tree declared edge
+    of the first 2,000 seeded random graphs, where Delta is the modular
+    homomorphism ``modular_value``: kappa mismatch is non-unimodularity."""
+    rng = random.Random(0)
+    edges = 0
+    for _ in range(2000):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        graph, spanning = group.graph, group.spanning
+        for e in range(0, graph.n_edges, 2):
+            if e not in spanning.tree_edges:
+                ky, kyb = kappa_pair(graph, spanning, e)
+                assert Fraction(ky, kyb) == abs(
+                    modular_value(group.edge_generator(e))), graph.edge_name(e)
+                edges += 1
+    assert edges == 2938
 
 
 def test_word_printer_roundtrip():
