@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from gbs.graphs import GbsGraph, GraphError, SpanningData, paths_from
-from gbs.words import GroupElement
+from gbs.words import GroupElement, _seam_depth
 
 
 def _index_along(alpha, edges) -> int:
@@ -109,18 +109,23 @@ def vertex_index(g: GroupElement, vertex) -> int:
     """Minimal k > 0 with g a_P^k g^-1 back in <a_P>, in time linear in the
     length of g.
 
-    Let h = r0 e1 r1 ... en rn be g as a canonical closed word at P.  Then
-    h a^k h^-1 = r0 e1 ... en k bar(en) ... bar(e1) -r0 collapses one pinch
+    Let x = r0 e1 r1 ... en rn be g as a canonical closed word at P.  Then
+    x a^k x^-1 = r0 e1 ... en k bar(en) ... bar(e1) -r0 collapses one pinch
     at a time from the middle out, and it lies in <a> iff every collapse
     happens: alpha(en) divides k, alpha(e_{n-1}) divides
     alpha(bar en) k / alpha(en), and so on.  A collapse that fails leaves a
-    word with no pinch (h has none), which by Britton's lemma is not in <a>.
+    word with no pinch (x has none), which by Britton's lemma is not in <a>.
     So the valid k form the subgroup k_c Z, with k_c the gcd recursion over
-    e1, ..., en: the edge labels of the Bass-Serre geodesic from P to h P.
-    The exponents r_i play no part.
+    e1, ..., en: the edge labels of the Bass-Serre geodesic from P to x P.
+    The exponents r_i play no part, so only x's letters are needed: x is
+    u h with u = h^-1 g (``GbsGroup._rebase``), and its letters are u's
+    less the last d and h's less the first d, d the seam's pinches.
     """
     group = g.group
-    return _index_along(group.graph.alpha, group.rebased_items(g, vertex)[1::2])
+    alpha = group.graph.alpha
+    u, h = group._rebase(g, vertex)
+    d = _seam_depth(u, 0, h, alpha)[0]
+    return _index_along(alpha, u[1:len(u) - 2 * d:2] + h[2 * d + 1::2])
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from itertools import islice
 from math import lcm
 
 from gbs import wordcore
-from gbs.indices import big_N, check_theorem, kappa_pair, vertex_index
-from gbs.words import GbsGroup, GroupElement, closed_words
+from gbs.indices import big_N, index_report, vertex_index
+from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
+                       _seam_depth, closed_words)
 
 
 # Conjugators z_1 .. z_9 stored by build_ce2.
@@ -56,11 +57,13 @@ def build_ce2(group: GbsGroup, edge, L: int) -> Ce2Data:
     takes the maximum y-length over the finite set under test)."""
     graph = group.graph
     e = graph.edge_id(edge)
-    if not check_theorem(graph, group.spanning).sufficient_conditions_met:
+    report = index_report(graph, group.spanning)
+    if not report.verdict.sufficient_conditions_met:
         raise PingPongError("graph fails the sufficient simplicity conditions")
     if e in group.spanning.tree_edges:
         raise PingPongError(f"{graph.edge_name(e)} is a tree edge")
-    ky, kyb = kappa_pair(graph, group.spanning, e)
+    # kappa of ~y is kappa of y swapped; the test below is symmetric
+    ky, kyb = report.kappa[graph.edge_names[e // 2]]
     if ky == kyb:
         raise PingPongError(
             f"kappa values coincide at {graph.edge_name(e)} ({ky})")
@@ -185,7 +188,8 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     - g lies in <a^N> iff h^-1 g h = a^(N q) at t(y), h the tree word from
       the base to t(y); h^-1 has zero exponents, so it is canonical.  With
       c = h^-1 and b = h, that holds iff the seam pinches every letter of
-      both sides and leaves a multiple of N (``_outside_cyclic``).
+      both sides and leaves a multiple of N (``_outside_cyclic``, by the
+      same reader as ``GbsGroup.as_vertex_power``).
     - With c = z_j and b = z_j^-1, d gives the letters of v, so the verdict
       is read once per (j, s, d); only a failing pair builds v.
 
@@ -240,9 +244,8 @@ def _outside_cyclic(s, ks, h, n: int, alpha):
     """The k in ``ks`` with s a^k outside <a_P^n>, for a skeleton ``s`` and
     the tree word ``h`` from the base to P (see ``verify_pingpong``)."""
     u = wordcore.mul_items(wordcore.inv_items(h), s, alpha)
-    seams = (_seam_depth(u, k, h, alpha) for k in ks)
-    return [k for k, (d, r) in zip(ks, seams)
-            if not (2 * d == len(u) - 1 == len(h) - 1 and r % n == 0)]
+    return [k for k in ks
+            if (r := _collapsed_exponent(u, k, h, alpha)) is None or r % n]
 
 
 def _failing_powers(data: Ce2Data, skeletons):
@@ -262,21 +265,6 @@ def _failing_powers(data: Ce2Data, skeletons):
                     powers[d] = _failing_power(
                         head[:len(head) - d] + tail[d:], data.edge, j)
                 yield j, s, k, powers[d]
-
-
-def _seam_depth(w, k, b, alpha):
-    """(d, r): the d pinches in the product of the canonical words ``w``,
-    with its trailing exponent raised by ``k``, and ``b``, and the exponent
-    r left at the seam before carries (the whole product when both sides
-    collapse).  ``mul_items``' pinch loop, run without copying ``w``."""
-    r = w[-1] + k + b[0]
-    i, p = 1, len(w) - 2
-    while (i < len(b) and p > 0 and w[p] == b[i] ^ 1
-           and r % alpha[w[p]] == 0):
-        r = w[p - 1] + alpha[b[i]] * (r // alpha[w[p]]) + b[i + 1]
-        i += 2
-        p -= 2
-    return i // 2, r
 
 
 _CD_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))

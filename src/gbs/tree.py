@@ -4,7 +4,8 @@ Vertices of the covering are cosets g G_P, one family per vertex type P.
 A coset is keyed by the canonical form of a representative path word from
 the base to P with its trailing exponent zeroed; right multiplication by
 powers of a_P only moves that trailing exponent, so the key is a faithful
-coset invariant.
+coset invariant.  ``stabilizes`` reads it: g fixes h G_P iff the key of
+g h is the key of h, one kernel product.
 
 Neighbours of g G_P: for every edge e with origin P and every residue
 rho in {0, ..., |alpha(bar e)| - 1}, the coset (g a_P^rho g_e) G_{t(e)}.
@@ -56,8 +57,9 @@ def act(group: GbsGroup, g: GroupElement, v: TreeVertex) -> TreeVertex:
 
 
 def stabilizes(group: GbsGroup, g: GroupElement, v: TreeVertex) -> bool:
-    """True iff h^-1 g h lies in the vertex group, h a representative."""
-    return len(group.conjugated_items(g, v.rep_items())) == 1
+    """True iff h^-1 g h lies in the vertex group, h a representative:
+    g fixes the coset h G_P, which its key decides."""
+    return act(group, g, v) == v
 
 
 def _neighbors(group: GbsGroup, v: TreeVertex):

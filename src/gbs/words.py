@@ -161,26 +161,19 @@ class GbsGroup:
 
     # -- membership ----------------------------------------------------------
 
-    def conjugated_items(self, g: GroupElement, h):
-        """Canonical items of h^-1 * g * h for a canonical path word ``h``
-        (items) from the base."""
-        alpha = self.graph.alpha
-        h_inv = wordcore.sweep_items(wordcore.inv_items(h), alpha)
-        return wordcore.mul_items(
-            wordcore.mul_items(h_inv, list(g.items), alpha), h, alpha)
-
-    def rebased_items(self, g: GroupElement, vertex):
-        """Canonical items of geo^-1 * g * geo, geo the tree word base -> P:
-        g as a closed word at P instead of at the base."""
-        return self.conjugated_items(
-            g, self.geodesic_items(self.graph.vertex_id(vertex)))
+    def _rebase(self, g: GroupElement, vertex):
+        """(u, h) for g as a closed word at P: h the zero-exponent tree word
+        base -> P and u = h^-1 g, one kernel product.  h^-1 has zero
+        exponents and no backtrack, so it is canonical as it stands, and
+        h^-1 g h is u h, whose letters ``_seam_depth`` reads."""
+        h = self.geodesic_items(self.graph.vertex_id(vertex))
+        return wordcore.mul_items(wordcore.inv_items(h), list(g.items),
+                                  self.graph.alpha), h
 
     def as_vertex_power(self, g: GroupElement, vertex):
         """Return r with g = a_P^r in the group, or None."""
-        items = self.rebased_items(g, vertex)
-        if len(items) == 1:
-            return items[0]
-        return None
+        u, h = self._rebase(g, vertex)
+        return _collapsed_exponent(u, 0, h, self.graph.alpha)
 
     def cyclic_membership(self, g: GroupElement, vertex, k: int):
         """Return s with g = a_P^(k*s), or None.  Requires k > 0."""
@@ -261,6 +254,32 @@ class GbsGroup:
         identity in the group), their exponents stay at their vertices."""
         return path_string(self.graph, self.base, g.items,
                            self.spanning.tree_edges)
+
+
+def _seam_depth(w, k, b, alpha):
+    """(d, r): the d pinches in the product of the canonical words ``w``,
+    with its trailing exponent raised by ``k``, and ``b``, and the exponent
+    r left at the seam before carries (the whole product when both sides
+    collapse).  ``mul_items``' pinch loop, run without copying ``w``.
+    The product's letters are those of ``w`` less the last d and of ``b``
+    less the first d: it cancels only at the seam (Britton's lemma), and
+    its carries change exponents only."""
+    r = w[-1] + k + b[0]
+    i, p = 1, len(w) - 2
+    while (i < len(b) and p > 0 and w[p] == b[i] ^ 1
+           and r % alpha[w[p]] == 0):
+        r = w[p - 1] + alpha[b[i]] * (r // alpha[w[p]]) + b[i + 1]
+        i += 2
+        p -= 2
+    return i // 2, r
+
+
+def _collapsed_exponent(w, k, b, alpha):
+    """r when the product read by ``_seam_depth`` is the vertex power a^r:
+    the seam pinches every letter of both sides.  Otherwise None, since a
+    reduced word with a letter left is no vertex power."""
+    d, r = _seam_depth(w, k, b, alpha)
+    return r if 2 * d == len(w) - 1 == len(b) - 1 else None
 
 
 def path_items(path):

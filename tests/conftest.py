@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 import gbs
+from gbs import wordcore
 from gbs.words import GbsGroup
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -52,6 +53,17 @@ def two_vertex():
 @pytest.fixture(scope="session")
 def chain3():
     return GbsGroup.from_text(CHAIN3_TEXT)
+
+
+def kernel_conjugate(group, g, h):
+    """Canonical items of h^-1 g h, for items ``g`` of a closed word and
+    a canonical path word ``h`` from the base: h^-1 swept to canonical
+    form, then two kernel products.  The seam readers form one product
+    and stop at the seam; this is their independent reference."""
+    alpha = group.graph.alpha
+    h_inv = wordcore.sweep_items(wordcore.inv_items(list(h)), alpha)
+    return wordcore.mul_items(wordcore.mul_items(h_inv, list(g), alpha),
+                              list(h), alpha)
 
 
 def random_graph_text(rng):

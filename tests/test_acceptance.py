@@ -42,6 +42,9 @@ def test_criterion_01_bs_classification_grid():
                 graph, spanning = parse_graph(bs_text(n, m))
                 v = indices.check_theorem(graph, spanning)
                 assert v.exists_kappa_mismatch == (n != m)
+                t = GbsGroup(graph, spanning).edge_generator("y")
+                assert v.exists_kappa_mismatch == \
+                    (abs(indices.modular_value(t)) != 1)
                 assert v.all_proper == (n >= 2 and m >= 2)
                 assert v.sufficient_conditions_met == \
                     (n != m and n >= 2 and m >= 2)

@@ -1,9 +1,11 @@
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from gbs import cli
 from gbs.words import MAX_EDGE_LENGTH
 
 from conftest import FIXTURES, SUBPROCESS_ENV, bs_text
@@ -29,6 +31,40 @@ def test_check(tmp_path):
     r = run("check", str(p))
     assert r.returncode == 0
     assert json.loads(r.stdout)["sufficient_conditions_met"] is False
+
+
+def readme_examples(text):
+    """(argv, shown output) for every ``$ gbs ...`` line in the shell
+    blocks of README; the output is the block's lines up to the next
+    command."""
+    examples, in_sh, shown = [], False, None
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_sh, shown = line == "```sh", None
+        elif in_sh and line.startswith("$ "):
+            shown = []
+            examples.append((shlex.split(line[2:]), shown))
+        elif shown is not None:
+            shown.append(line)
+    return [(argv, "\n".join(out)) for argv, out in examples]
+
+
+def test_readme_examples(capsys, monkeypatch):
+    """Each README example, run through cli.main from the repo root, exits 0
+    and prints what README shows (JSON compared parsed, since README wraps
+    it)."""
+    root = FIXTURES.parent.parent
+    examples = readme_examples((root / "README.md").read_text())
+    assert len(examples) >= 2
+    monkeypatch.chdir(root)
+    for argv, shown in examples:
+        assert argv[0] == "gbs"
+        assert cli.main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if shown.startswith("{"):
+            assert json.loads(out) == json.loads(shown), argv
+        else:
+            assert out.strip() == shown.strip(), argv
 
 
 def test_reduce():

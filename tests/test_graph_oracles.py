@@ -1,18 +1,22 @@
 """The BFS helper, spanning trees, decompositions and the name resolver
 against brute-force oracles on seeded random graphs."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gbs.graphs import (Decomposition, GraphError, compute_spanning_tree,
-                        decompose, paths_from, parse_graph)
-from gbs.indices import (TheoremVerdict, check_theorem, kappa_pair,
+from gbs.graphs import (Decomposition, GraphError, SpanningData,
+                        compute_spanning_tree, decompose, paths_from,
+                        parse_graph)
+from gbs import indices
+from gbs.indices import (TheoremVerdict, big_N, check_theorem, kappa_pair,
                          modular_value)
 from gbs.words import GbsGroup, closed_words
 
 from conftest import random_graph_text
+from test_indices import oracle_big_n
 
 INF = float("inf")
 
@@ -187,6 +191,79 @@ def test_kappa_ratio_is_modular_value():
                     modular_value(group.edge_generator(e))), graph.edge_name(e)
                 edges += 1
     assert edges == 2938
+
+
+def test_k_prime_mutant_breaks_the_ratio(monkeypatch):
+    """The ratio oracle can fail: k_c and k_cbar swapped inside _k_prime
+    give kappa_y / kappa_ybar != |Delta(g_y)| on some seeded graph."""
+    real = indices._k_prime
+    monkeypatch.setattr(indices, "_k_prime",
+                        lambda graph, e, kc, kcbar: real(graph, e, kcbar, kc))
+    rng = random.Random(0)
+    for _ in range(200):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        graph, spanning = group.graph, group.spanning
+        for e in range(0, graph.n_edges, 2):
+            if e not in spanning.tree_edges:
+                ky, kyb = kappa_pair(graph, spanning, e)
+                if Fraction(ky, kyb) != abs(
+                        modular_value(group.edge_generator(e))):
+                    return
+    pytest.fail("no graph tells the mutant apart")
+
+
+def test_reversed_kappa_pair_is_swapped():
+    """kappa of ~y is kappa of y swapped, on every edge: build_ce2 reads
+    either direction's equality test off the declared one."""
+    for _, graph, spanning in _graphs():
+        for e in range(0, graph.n_edges, 2):
+            ky, kyb = kappa_pair(graph, spanning, e)
+            assert kappa_pair(graph, spanning, e ^ 1) == (kyb, ky)
+
+
+def test_big_n_matches_oracle_on_random_graphs():
+    """big_N of every directed non-tree edge of the first 100 seeded random
+    graphs against the brute-force search for the least j with
+    t^2 a^j t^-2 in <b>."""
+    rng = random.Random(0)
+    edges = 0
+    for _ in range(100):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        graph, spanning = group.graph, group.spanning
+        for e in range(graph.n_edges):
+            if e not in spanning.tree_edges:
+                assert big_N(graph, spanning, e) == \
+                    oracle_big_n(group, e, bound=2000), graph.edge_name(e)
+                edges += 1
+    assert edges == 320
+
+
+def _spanning_choices(graph):
+    """Every maximal subtree of ``graph`` with every base vertex."""
+    for pairs in itertools.combinations(range(graph.n_edges // 2),
+                                        graph.n_vertices - 1):
+        edges = frozenset(x for p in pairs for x in (2 * p, 2 * p + 1))
+        if len(paths_from(graph, 0, edges)) == graph.n_vertices:
+            for base in range(graph.n_vertices):
+                yield SpanningData(edges, base)
+
+
+def test_verdict_is_tree_invariant():
+    """exists_kappa_mismatch (|Delta| nontrivial, a property of the group)
+    and sufficient_conditions_met do not depend on the maximal subtree or
+    the base: every choice on the first 400 seeded random graphs."""
+    rng = random.Random(0)
+    choices = 0
+    for _ in range(400):
+        graph, spanning = parse_graph(random_graph_text(rng))
+        verdict = check_theorem(graph, spanning)
+        for other in _spanning_choices(graph):
+            got = check_theorem(graph, other)
+            assert (got.exists_kappa_mismatch, got.sufficient_conditions_met) \
+                == (verdict.exists_kappa_mismatch,
+                    verdict.sufficient_conditions_met)
+            choices += 1
+    assert choices == 4144
 
 
 def test_word_printer_roundtrip():

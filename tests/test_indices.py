@@ -361,7 +361,7 @@ def test_vertex_index_fixed_kernel_calls(bs23, monkeypatch):
         calls.clear()
         indices.vertex_index(g, "P")
         counts.append(len(calls))
-    assert counts == [2] * len(words)
+    assert counts == [1] * len(words)
 
 
 def test_swapped_recursion_fails_the_oracles(request, monkeypatch):

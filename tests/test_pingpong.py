@@ -8,9 +8,10 @@ import pytest
 from gbs import pingpong, wordcore
 from gbs.graphs import parse_graph
 from gbs.indices import modular_value
-from gbs.words import GbsGroup, GroupElement, closed_words, random_closed_word
+from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
+                       _seam_depth, closed_words, random_closed_word)
 
-from conftest import bs_text, random_graph_text
+from conftest import bs_text, kernel_conjugate, random_graph_text
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +326,13 @@ def test_verify_passes_on_random_graphs():
     assert (graphs, edges, certified) == (76, 258, 142_614)
 
 
-def test_outside_cyclic_matches_cyclic_membership():
-    """The seam exclusion against GbsGroup.cyclic_membership on seeded
-    random graphs, for every vertex P and n in {1, 2, 3, 6}: powers
-    a_P^(n q) and random closed words, each with its trailing exponent
-    shifted by -2..2.  Members with edge letters are the powers whose tree
-    path to P does not collapse; the fixtures have none (on gbs2,
-    a_Q^(24 q) is a_P^(36 q))."""
+def test_outside_cyclic_matches_kernel_conjugation():
+    """The seam exclusion against the two-product kernel conjugation
+    h^-1 g h on seeded random graphs, for every vertex P and n in {1, 2,
+    3, 6}: powers a_P^(n q) and random closed words, each with its
+    trailing exponent shifted by -2..2.  Members with edge letters are the
+    powers whose tree path to P does not collapse; the fixtures have none
+    (on gbs2, a_Q^(24 q) is a_P^(36 q))."""
     rng = random.Random(29)
     cases = Counter()
     for _ in range(60):
@@ -349,27 +350,29 @@ def test_outside_cyclic_matches_cyclic_membership():
                     ks = range(g.items[-1] - 2, g.items[-1] + 3)
                     outside = pingpong._outside_cyclic(s, ks, h, n, alpha)
                     for k in ks:
-                        gk = GroupElement(group, s[:-1] + [k], _canonical=True)
-                        member = group.cyclic_membership(gk, vertex, n)
-                        assert (k not in outside) == (member is not None)
-                        cases[member is not None, len(s) > 1] += 1
+                        x = kernel_conjugate(group, s[:-1] + [k], h)
+                        member = len(x) == 1 and x[0] % n == 0
+                        assert (k not in outside) == member
+                        cases[member, len(s) > 1] += 1
     assert min(cases.values()) >= 2500, cases
 
 
 def _seam_check(a, b, k, alpha):
-    """Check ``_seam_depth`` against the kernel product of ``a``, with its
-    trailing exponent raised by k, and ``b``; return the depth and whether
-    both sides collapse."""
+    """Check ``_seam_depth`` and ``_collapsed_exponent`` against the kernel
+    product of ``a``, with its trailing exponent raised by k, and ``b``;
+    return the depth and whether both sides collapse."""
     ak = a[:-1] + [a[-1] + k]
     product = wordcore.mul_items(ak, b, alpha)
-    d, r = pingpong._seam_depth(a, k, b, alpha)
+    d, r = _seam_depth(a, k, b, alpha)
     # each pinch removes one letter and one exponent from each side
     assert 4 * d == len(a) + len(b) - 1 - len(product)
     n = len(a) // 2
     assert product[1::2] == a[1::2][:n - d] + b[1::2][d:]
-    if len(product) == 1:
+    collapsed = len(product) == 1
+    if collapsed:
         assert product == [r]
-    return d, len(product) == 1
+    assert _collapsed_exponent(a, k, b, alpha) == (r if collapsed else None)
+    return d, collapsed
 
 
 def test_seam_depth_matches_kernel(bs23, gbs2, two_vertex, chain3):
