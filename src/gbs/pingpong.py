@@ -25,7 +25,7 @@ from math import lcm
 from gbs import wordcore
 from gbs.indices import big_N, index_report, vertex_index
 from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
-                       _seam_depth, closed_words)
+                       _seam_depth, _seam_reach, closed_words)
 
 
 # Conjugators z_1 .. z_9 stored by build_ce2.
@@ -138,6 +138,25 @@ def _failing_power(letters, edge: int, j: int):
     return None
 
 
+def _pattern_width(letters, edge: int, j: int):
+    """W_j: the length of the shortest prefix of ``letters`` that holds
+    the S'_j pattern, or None when ``letters`` lack it."""
+    if _sj_index(letters, edge) != j:
+        return None
+    ends = [i for i, x in enumerate(letters, 1) if x // 2 == edge // 2]
+    return ends[2 * j + 1]
+
+
+def _depth_bound(z, s, w, width):
+    """The deepest seam of v = w a^k z^-1 at which v and v^-1 both keep the
+    first ``width`` letters of z, for the canonical item lists z, s and w =
+    z s, or -1 when there is none (see ``verify_pingpong``)."""
+    n, m = len(z) // 2, len(w) // 2
+    if width is None or (n + len(s) // 2 - m) // 2 > n - width:
+        return -1
+    return min(m, n) - width
+
+
 @dataclass(frozen=True)
 class PingPongReport:
     pairs_checked: int
@@ -148,6 +167,7 @@ class PingPongReport:
     excluded_g: int
     j_count: int
     certified: int             # (j, g) proven for every f outside S'_j
+    seam_reads: int            # (j, g) whose seam depth was read
 
     def to_json_dict(self):
         return {
@@ -190,8 +210,19 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
       c = h^-1 and b = h, that holds iff the seam pinches every letter of
       both sides and leaves a multiple of N (``_outside_cyclic``, by the
       same reader as ``GbsGroup.as_vertex_power``).
-    - With c = z_j and b = z_j^-1, d gives the letters of v, so the verdict
-      is read once per (j, s, d); only a failing pair builds v.
+    - With c = z_j and b = z_j^-1, d gives the letters of v.  Most pairs
+      need no d.  Let W be the length of the shortest letter prefix of z_j
+      that holds P (once per j), and n, m the letter counts of z_j and w =
+      z_j s.  w keeps z_j's first n - d1 letters, d1 = (n + |s| - m)/2 the
+      pinches of z_j s, and v keeps w's first m - d.  v^-1's letters are
+      v's reversed and barred, and so are z_j^-1's of z_j, so v^-1 keeps
+      z_j's first n - d.  Hence for d1 <= n - W and d <= min(m, n) - W
+      both windows are z_j's own, and (j, g) holds.  A pinch needs
+      mirrored letters, so d is at most the reach R of w and z_j^-1
+      (``_seam_reach``), which does not depend on k: R <= min(m, n) - W
+      proves every k of s at once.  Otherwise d is read for each k, and
+      only a d past the bound reads both windows of v's letters, once per
+      (j, s, d); only a failing pair builds v.
 
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
@@ -214,10 +245,14 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     f_count = in_sj.total() * len(ks)
     pools = [f_count - in_sj[j] * len(ks) for j in range(len(data.z) + 1)]
 
-    pairs = certified = 0
+    pairs = certified = seam_reads = 0
     counterexample = None
-    for j, s, k, power in _failing_powers(data, skeletons):
-        if power is not None:
+    for j, s, proven, failure, reads in _failing_powers(data, skeletons):
+        certified += proven
+        pairs += proven * pools[j]
+        seam_reads += reads
+        if failure is not None:
+            k, power = failure
             z = data.z[j - 1]
             g = GroupElement(group, s[:-1] + [k], _canonical=True)
             v = z * g * z.inverse()
@@ -225,8 +260,6 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
             counterexample = {"j": j, "g": str(g), "f": str(f),
                               "product": str(v * f)}
             break
-        certified += 1
-        pairs += pools[j]
 
     return PingPongReport(
         pairs_checked=pairs,
@@ -237,6 +270,7 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
         excluded_g=len(skeletons) * len(ks) - g_count,
         j_count=len(data.z),
         certified=certified,
+        seam_reads=seam_reads,
     )
 
 
@@ -249,22 +283,34 @@ def _outside_cyclic(s, ks, h, n: int, alpha):
 
 
 def _failing_powers(data: Ce2Data, skeletons):
-    """Yield (j, s, k, failing power of v = z_j s a^k z_j^-1) for every j
-    and every skeleton s with its trailing exponents k, in that order."""
+    """Yield (j, s, proven, failure, reads) for every j and every skeleton
+    s with its trailing exponents ks, in that order: the number of leading
+    k in ks proven for every f, the first failing (k, power of v = z_j s
+    a^k z_j^-1) or None, and the number of k whose seam depth was read."""
     alpha = data.group.graph.alpha
     for j, z in enumerate(data.z, 1):
         zj, zj_inv = list(z.items), list(z.inverse().items)
+        width = _pattern_width(zj[1::2], data.edge, j)
         tail = zj_inv[1::2]
         for s, ks in skeletons:
             w = wordcore.mul_items(zj, s, alpha)
+            limit = _depth_bound(zj, s, w, width)
+            if _seam_reach(w, zj_inv) <= limit:
+                yield j, s, len(ks), None, 0
+                continue
             head = w[1::2]
-            powers = {}                 # seam depth -> failing power
-            for k in ks:
+            powers = {}                 # seam depth past limit -> failing power
+            for i, k in enumerate(ks):
                 d = _seam_depth(w, k, zj_inv, alpha)[0]
-                if d not in powers:
-                    powers[d] = _failing_power(
-                        head[:len(head) - d] + tail[d:], data.edge, j)
-                yield j, s, k, powers[d]
+                if d > limit:
+                    if d not in powers:
+                        powers[d] = _failing_power(
+                            head[:len(head) - d] + tail[d:], data.edge, j)
+                    if powers[d] is not None:
+                        yield j, s, i, (k, powers[d]), i + 1
+                        break
+            else:
+                yield j, s, len(ks), None, len(ks)
 
 
 _CD_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))

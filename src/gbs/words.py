@@ -274,6 +274,18 @@ def _seam_depth(w, k, b, alpha):
     return i // 2, r
 
 
+def _seam_reach(w, b):
+    """The letters of the canonical words ``w`` and ``b`` that mirror each
+    other at their seam: w's i-th letter from the end is the reversal of
+    b's i-th, for i up to the result.  A pinch needs mirrored letters, so
+    ``_seam_depth(w, k, b, alpha)`` is at most this for every k."""
+    i, p = 1, len(w) - 2
+    while i < len(b) and p > 0 and w[p] == b[i] ^ 1:
+        i += 2
+        p -= 2
+    return i // 2
+
+
 def _collapsed_exponent(w, k, b, alpha):
     """r when the product read by ``_seam_depth`` is the vertex power a^r:
     the seam pinches every letter of both sides.  Otherwise None, since a
@@ -317,17 +329,23 @@ def _step_rule(group: GbsGroup):
     the walk still closes at the base within ``remaining`` edges, and
     ``residues`` are the exponents that may stand in front of e: the
     transversal ``range(|alpha(bar e)|)``, without 0 right after ``bar e``.
-    Edges with no residue left are omitted."""
+    Edges with no residue left are omitted.  The list depends on
+    (v, the edge back, remaining) alone, so each is built once and shared."""
     graph = group.graph
     # edges come in reversed pairs, so distance to the base is distance from it
     dist = {v: len(p) for v, p in paths_from(graph, group.base).items()}
     out = [[(e, graph.terminus[e], abs(graph.alpha[e ^ 1]))
             for e in graph.edges_from(v)] for v in range(graph.n_vertices)]
+    memo = {}
 
     def steps(v, items, remaining):
         back = items[-2] ^ 1 if len(items) > 1 else None
-        return [(e, w, range(1 if e == back else 0, m)) for e, w, m in out[v]
-                if dist[w] < remaining and (m > 1 or e != back)]
+        key = v, back, remaining
+        if key not in memo:
+            memo[key] = [(e, w, range(1 if e == back else 0, m))
+                         for e, w, m in out[v]
+                         if dist[w] < remaining and (m > 1 or e != back)]
+        return memo[key]
 
     return steps
 

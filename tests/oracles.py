@@ -1,0 +1,34 @@
+"""Brute-force oracles and word helpers that more than one test module
+uses.  Test modules import from here, not from each other."""
+
+
+def oracle_big_n(group, edge, bound=200):
+    """The least j >= 1 with t^2 a^j t^-2 in <b>, by search over j up to
+    ``bound``: t = g_y, a and b the generators at t(y) and o(y)."""
+    graph = group.graph
+    e = graph.edge_id(edge)
+    a = group.vertex_generator(graph.terminus[e])
+    t2 = group.edge_generator(e) ** 2
+    for j in range(1, bound + 1):
+        if group.as_vertex_power(t2 * a ** j * t2.inverse(),
+                                 graph.origin[e]) is not None:
+            return j
+    raise AssertionError("oracle bound exceeded")
+
+
+def insert_pinch(group, items, rng):
+    """``items`` with a random pinch e a^(alpha(e) s) bar-e spliced in at a
+    random exponent slot, the exponents around it split so that the word
+    still represents the same element."""
+    graph = group.graph
+    items = list(items)
+    slot = rng.randrange(0, len(items), 2)
+    v = group.base
+    for i in range(1, slot, 2):
+        v = graph.terminus[items[i]]
+    choices = graph.edges_from(v)
+    e = rng.choice(choices)
+    s = rng.randint(-3, 3)
+    r1 = rng.randint(-5, 5)
+    r2 = items[slot] - r1 - graph.alpha[e ^ 1] * s
+    return items[:slot] + [r1, e, graph.alpha[e] * s, e ^ 1, r2] + items[slot + 1:]

@@ -15,7 +15,7 @@ from gbs.graphs import parse_graph
 from gbs.words import GbsGroup, random_closed_word
 
 from conftest import bs_text
-from test_words import _insert_pinch
+from oracles import insert_pinch, oracle_big_n
 
 
 class _Timer:
@@ -51,27 +51,15 @@ def test_criterion_01_bs_classification_grid():
     tm.done("criterion 1: BS(n,m) classification grid, 1 <= n,m <= 4")
 
 
-def _oracle_big_n(group, edge, bound=200):
-    graph = group.graph
-    e = graph.edge_id(edge)
-    a = group.vertex_generator(graph.terminus[e])
-    t2 = group.edge_generator(e) ** 2
-    for j in range(1, bound + 1):
-        if group.as_vertex_power(t2 * a ** j * t2.inverse(),
-                                 graph.origin[e]) is not None:
-            return j
-    raise AssertionError("oracle search bound exceeded")
-
-
 def test_criterion_02_big_n_oracle(bs23, gbs2):
     with _Timer(5.0) as tm:
         assert indices.big_N(bs23.graph, bs23.spanning, "y") == 9
-        assert _oracle_big_n(bs23, "y") == 9
+        assert oracle_big_n(bs23, "y") == 9
         g24, s24 = parse_graph(bs_text(2, 4))
         assert indices.big_N(g24, s24, "y") == 8
-        assert _oracle_big_n(GbsGroup(g24, s24), "y") == 8
+        assert oracle_big_n(GbsGroup(g24, s24), "y") == 8
         assert indices.big_N(gbs2.graph, gbs2.spanning, "y") == \
-            _oracle_big_n(gbs2, "y")
+            oracle_big_n(gbs2, "y")
     tm.done("criterion 2: N formula vs brute-force oracle (BS23, BS24, GBS2)")
 
 
@@ -140,7 +128,7 @@ def test_criterion_07_normal_form_confluence(bs23, gbs2):
         for group in (bs23, gbs2):
             for _ in range(5000):
                 g = random_closed_word(group, rng, 5, 8, nontrivial=False)
-                mutated = _insert_pinch(group, g.items, rng)
+                mutated = insert_pinch(group, g.items, rng)
                 assert group.element(mutated) == g
                 edge_words[group] += g.edge_length > 0
         for group in (bs23, gbs2):

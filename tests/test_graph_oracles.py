@@ -16,7 +16,7 @@ from gbs.indices import (TheoremVerdict, big_N, check_theorem, kappa_pair,
 from gbs.words import GbsGroup, closed_words
 
 from conftest import random_graph_text
-from test_indices import oracle_big_n
+from oracles import oracle_big_n
 
 INF = float("inf")
 

@@ -8,6 +8,7 @@ from gbs.graphs import GraphError, parse_graph, paths_from
 from gbs.words import GbsGroup, random_closed_word
 
 from conftest import bs_text
+from oracles import oracle_big_n
 
 
 def oracle_relative_order(group, source_vertex, target_vertex, bound=1000):
@@ -101,19 +102,6 @@ def test_kappa_matches_oracle_everywhere(bs23, gbs2, chain3, two_vertex):
         for i, name in enumerate(group.graph.edge_names):
             got = indices.kappa_pair(group.graph, group.spanning, name)
             assert got == oracle_kappa(group, name)
-
-
-def oracle_big_n(group, edge, bound=200):
-    graph = group.graph
-    e = graph.edge_id(edge) if isinstance(edge, str) else edge
-    a = group.vertex_generator(graph.terminus[e])
-    t = group.edge_generator(e)
-    t2 = t * t
-    for j in range(1, bound + 1):
-        if group.as_vertex_power(t2 * a ** j * t2.inverse(),
-                                 graph.origin[e]) is not None:
-            return j
-    raise AssertionError("oracle bound exceeded")
 
 
 def test_big_n_pinned_values(bs23):

@@ -9,7 +9,8 @@ from gbs import pingpong, wordcore
 from gbs.graphs import parse_graph
 from gbs.indices import modular_value
 from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
-                       _seam_depth, closed_words, random_closed_word)
+                       _seam_depth, _seam_reach, closed_words,
+                       random_closed_word)
 
 from conftest import bs_text, kernel_conjugate, random_graph_text
 
@@ -409,25 +410,139 @@ def test_seam_depth_matches_kernel(bs23, gbs2, two_vertex, chain3):
     assert {(d, True) for d in range(5)} <= set(depths)
 
 
-@pytest.mark.parametrize("name, products", [("bs23", 260), ("gbs2", 410)])
-def test_verify_product_counts(request, monkeypatch, name, products):
+@pytest.mark.parametrize("name, products, reads",
+                         [("bs23", 260, 108), ("gbs2", 410, 225)],
+                         ids=["bs23-260", "gbs2-410"])
+def test_verify_product_counts(request, monkeypatch, name, products, reads):
     """One product per skeleton for the <a^N> exclusion and one per (j,
     skeleton) for the verdicts: a product per g or per (j, g) fails by
-    count."""
+    count.  The window bound proves all but the (j, g) of a few skeletons
+    without a seam walk, and the depths walked stay within it, so no
+    window of v is read."""
     group = request.getfixturevalue(name)
     data = pingpong.build_ce2(group, "y", 2)
     skeletons = sum(1 for _ in closed_words(group, 2, 0))
-    calls = [0]
-    mul = wordcore.mul_items
+    calls = Counter()
+    mul, failing_power = wordcore.mul_items, pingpong._failing_power
 
     def counting(a, b, alpha):
-        calls[0] += 1
+        calls["mul"] += 1
         return mul(a, b, alpha)
 
+    def counting_power(letters, edge, j):
+        calls["power"] += 1
+        return failing_power(letters, edge, j)
+
     monkeypatch.setattr(wordcore, "mul_items", counting)
+    monkeypatch.setattr(pingpong, "_failing_power", counting_power)
     rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
     assert rep.passed
-    assert calls[0] == products == (1 + rep.j_count) * skeletons
+    assert calls["mul"] == products == (1 + rep.j_count) * skeletons
+    assert rep.seam_reads == reads and calls["power"] == 0
+    assert "seam_reads" not in rep.to_json_dict()
+
+
+def _bound_matches_kernel(case, exp_bound):
+    """Check the window bound of ``_failing_powers`` against v's full
+    letters, v = z_j s a^k z_j^-1 formed by two kernel products, for every
+    (j, s, k) of ``case`` with trailing exponent within ``exp_bound``:
+    the seam depth d never passes the reach; a d within the bound has no
+    failing power; and each (j, s) record gives the leading proven k, the
+    first failing (k, power) and the seam reads.  Returns a Counter of
+    (certified by the bound, failing power)."""
+    group, edge = case.group, case.edge
+    alpha = group.graph.alpha
+    h = group.geodesic_items(group.graph.terminus[edge])
+    ks = range(-exp_bound, exp_bound + 1)
+    skeletons = [(s, pingpong._outside_cyclic(s, ks, h, case.N, alpha))
+                 for s in map(list, closed_words(group, case.L, 0))]
+    records = pingpong._failing_powers(case, skeletons)
+    outcomes = Counter()
+    for j, z in enumerate(case.z, 1):
+        zj, zj_inv = list(z.items), list(z.inverse().items)
+        width = pingpong._pattern_width(zj[1::2], edge, j)
+        for s, kept in skeletons:
+            w = wordcore.mul_items(zj, s, alpha)
+            limit = pingpong._depth_bound(zj, s, w, width)
+            reach = _seam_reach(w, zj_inv)
+            powers = []
+            for k in kept:
+                zg = wordcore.mul_items(zj, s[:-1] + [k], alpha)
+                v = wordcore.mul_items(zg, zj_inv, alpha)
+                power = pingpong._failing_power(v[1::2], edge, j)
+                d = _seam_depth(w, k, zj_inv, alpha)[0]
+                assert d <= reach
+                assert d > limit or power is None, (j, s, k)
+                outcomes[d <= limit, power] += 1
+                powers.append(power)
+            proven = next((i for i, x in enumerate(powers) if x is not None),
+                          len(powers))
+            failure = ((kept[proven], powers[proven])
+                       if proven < len(kept) else None)
+            reads = 0 if reach <= limit else proven + (failure is not None)
+            assert next(records) == (j, s, proven, failure, reads)
+    assert next(records, None) is None
+    return outcomes
+
+
+def _cut_conjugators(data):
+    """r1^j a t^-1 b t^-1 for each j: S'_j's pattern ends at the last
+    letter, so a skeleton whose first letter pinches that letter (t a t on
+    bs23) moves it out of the window."""
+    a, b, t = data.a, data.b, data.t
+    r1 = a * t.inverse() * b * t
+    return tuple(r1 ** j * a * t.inverse() * b * t.inverse()
+                 for j in range(1, len(data.z) + 1))
+
+
+def _bound_cases(data, rng):
+    """The real conjugators, the negative control, and every conjugator
+    with a random word on each side (some of these pass)."""
+    group = data.group
+    perturbed = tuple(random_closed_word(group, rng, 2, 3) * z
+                      * random_closed_word(group, rng, 2, 3) for z in data.z)
+    return (("real", data),
+            ("control", pingpong.make_negative_control(data)),
+            ("perturbed", replace(data, z=perturbed)))
+
+
+@pytest.mark.parametrize("name", ["bs23", "gbs2"])
+def test_window_bound_matches_kernel_on_fixtures(request, name):
+    """Criterion 3's bounds on y and ~y, with the cut conjugators besides
+    the real, control and perturbed ones; the real ones read no window."""
+    group = request.getfixturevalue(name)
+    rng = random.Random(37)
+    outcomes = Counter()
+    for edge in ("y", "~y"):
+        data = pingpong.build_ce2(group, edge, 2)
+        cases = _bound_cases(data, rng)
+        cases += (("cut", replace(data, z=_cut_conjugators(data))),)
+        for kind, case in cases:
+            for (bounded, power), count in _bound_matches_kernel(case, 6).items():
+                outcomes[kind, bounded, power is None] += count
+    kinds = {kind: {key[1:] for key in outcomes if key[0] == kind}
+             for kind in ("real", "control", "perturbed", "cut")}
+    assert kinds["real"] == {(True, True)}
+    assert kinds["control"] == {(False, False)}
+    assert kinds["perturbed"] >= {(True, True), (False, False)}
+    assert kinds["cut"] >= {(True, True), (False, True), (False, False)}
+
+
+def test_window_bound_matches_kernel_on_random_graphs():
+    """Every directed edge that build_ce2 accepts at L = 1 on the first 400
+    seeded random graphs, at exponent bound 1."""
+    rng, case_rng = random.Random(0), random.Random(41)
+    outcomes = Counter()
+    for _ in range(400):
+        for data in _ce2_edges(GbsGroup.from_text(random_graph_text(rng)), 1):
+            for kind, case in _bound_cases(data, case_rng):
+                for (bounded, power), count in \
+                        _bound_matches_kernel(case, 1).items():
+                    outcomes[kind, bounded, power is None] += count
+    assert outcomes["real", False, False] == 0
+    assert outcomes["real", True, True] > outcomes["real", False, True]
+    assert outcomes["perturbed", True, True] and \
+        outcomes["perturbed", False, False]
 
 
 def test_verify_gbs2_at_spec_bounds(gbs2):

@@ -10,6 +10,7 @@ from gbs.words import (MAX_EDGE_LENGTH, GbsGroup, WordError, closed_words,
                        random_closed_word)
 
 from conftest import random_graph_text
+from oracles import insert_pinch
 
 
 def test_reduce_defining_relation(bs23):
@@ -150,28 +151,13 @@ def test_cyclic_membership_transported(gbs2):
 # -- randomized properties ----------------------------------------------------
 
 
-def _insert_pinch(group, items, rng):
-    graph = group.graph
-    items = list(items)
-    slot = rng.randrange(0, len(items), 2)
-    v = group.base
-    for i in range(1, slot, 2):
-        v = graph.terminus[items[i]]
-    choices = graph.edges_from(v)
-    e = rng.choice(choices)
-    s = rng.randint(-3, 3)
-    r1 = rng.randint(-5, 5)
-    r2 = items[slot] - r1 - graph.alpha[e ^ 1] * s
-    return items[:slot] + [r1, e, graph.alpha[e] * s, e ^ 1, r2] + items[slot + 1:]
-
-
 @pytest.mark.parametrize("fixture", ["bs23", "gbs2"])
 def test_pinch_insertion_soundness(request, fixture):
     group = request.getfixturevalue(fixture)
     rng = random.Random(11)
     for _ in range(500):
         g = random_closed_word(group, rng, 5, 8, nontrivial=False)
-        mutated = _insert_pinch(group, g.items, rng)
+        mutated = insert_pinch(group, g.items, rng)
         assert group.element(mutated) == g
 
 
@@ -291,7 +277,7 @@ def test_length_invariant_under_reduction_order(request, fixture):
     y = group.graph.edge_id("y")
     for _ in range(200):
         g = random_closed_word(group, rng, 5, 6)
-        noisy = _insert_pinch(group, g.items, rng)
+        noisy = insert_pinch(group, g.items, rng)
         other = _random_order_reduce(group, noisy, rng)
         assert tuple(other) == g.items
         assert group.element(other).edge_letter_count(y) == g.edge_letter_count(y)
