@@ -23,7 +23,7 @@ from itertools import islice
 from math import lcm
 
 from gbs import wordcore
-from gbs.indices import big_N, index_report, vertex_index
+from gbs.indices import big_N, vertex_index
 from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
                        _seam_depth, _seam_reach, closed_words)
 
@@ -54,27 +54,23 @@ class Ce2Data:
 
 def build_ce2(group: GbsGroup, edge, L: int) -> Ce2Data:
     """Construct the averaging data; L is supplied by the caller (the lemma
-    takes the maximum y-length over the finite set under test)."""
+    takes the maximum y-length over the finite set under test).  The proof
+    needs y non-tree (t a stable letter) and proper, so that no a or b of
+    r1, r2 pinches against t and z_j keeps the S'_j pattern; nothing else."""
     graph = group.graph
     e = graph.edge_id(edge)
-    report = index_report(graph, group.spanning)
-    if not report.verdict.sufficient_conditions_met:
-        raise PingPongError("graph fails the sufficient simplicity conditions")
     if e in group.spanning.tree_edges:
         raise PingPongError(f"{graph.edge_name(e)} is a tree edge")
-    # kappa of ~y is kappa of y swapped; the test below is symmetric
-    ky, kyb = report.kappa[graph.edge_names[e // 2]]
-    if ky == kyb:
-        raise PingPongError(
-            f"kappa values coincide at {graph.edge_name(e)} ({ky})")
+    n, m = abs(graph.alpha[e]), abs(graph.alpha[e ^ 1])
+    if min(n, m) < 2:
+        raise PingPongError(f"{graph.edge_name(e)} is improper: |alpha| < 2")
     if L < 0:
         raise PingPongError("L must be nonnegative")
 
     a = group.vertex_generator(graph.terminus[e])
     b = group.vertex_generator(graph.origin[e])
     t = group.edge_generator(e)
-    return Ce2Data(group=group, edge=e, a=a, b=b, t=t,
-                   n=abs(graph.alpha[e]), m=abs(graph.alpha[e ^ 1]),
+    return Ce2Data(group=group, edge=e, a=a, b=b, t=t, n=n, m=m,
                    N=big_N(graph, group.spanning, e), L=L,
                    z=tuple(islice(_conjugators(a, b, t, L, 0), CE2_COUNT)))
 
@@ -228,7 +224,8 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     certified before the first failure, of the number of f outside S'_j
     with at most word_bound edge letters and trailing exponent within
     exponent_bound.  The S'_j are disjoint and depend on letters alone, so
-    one pass over the skeletons of the f gives each its j, or none.
+    one pass over the skeletons of the f gives each its j, or none.  With
+    no g within the bounds there is nothing to prove, and it raises.
     """
     if word_bound < 0 or exponent_bound < 0:
         raise PingPongError("word and exponent bounds must be nonnegative")
@@ -240,6 +237,8 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     skeletons = [(s, _outside_cyclic(s, ks, h, data.N, alpha))
                  for s in map(list, closed_words(group, data.L, 0))]
     g_count = sum(len(kept) for _, kept in skeletons)
+    if g_count == 0:
+        raise PingPongError(f"no g outside <a^{data.N}> within the bounds")
     in_sj = Counter(_sj_index(f[1::2], data.edge)
                     for f in closed_words(group, word_bound, 0))
     f_count = in_sj.total() * len(ks)

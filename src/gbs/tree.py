@@ -9,11 +9,13 @@ g h is the key of h, one kernel product.
 
 Neighbours of g G_P: for every edge e with origin P and every residue
 rho in {0, ..., |alpha(bar e)| - 1}, the coset (g a_P^rho g_e) G_{t(e)}.
+Except for the parent (the back edge with residue 0), its key is g's with
+rho, e, 0 appended, canonical as it stands: these are the steps of the
+closed-word rule ``GbsGroup.steps``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from gbs import wordcore
@@ -60,18 +62,6 @@ def stabilizes(group: GbsGroup, g: GroupElement, v: TreeVertex) -> bool:
     """True iff h^-1 g h lies in the vertex group, h a representative:
     g fixes the coset h G_P, which its key decides."""
     return act(group, g, v) == v
-
-
-def _neighbors(group: GbsGroup, v: TreeVertex):
-    """Neighbour cosets with their (edge, residue) labels, deterministic order."""
-    graph = group.graph
-    out = []
-    rep = v.rep_items()
-    for e in graph.edges_from(v.vertex):
-        for rho in range(abs(graph.alpha[e ^ 1])):
-            w = coset_vertex(group, rep[:-1] + [rho, e, 0], graph.terminus[e])
-            out.append((w, e, rho))
-    return out
 
 
 @dataclass
@@ -139,27 +129,27 @@ class TreeBall:
 
 
 def _bfs(group: GbsGroup, radius: int):
-    """Lazy BFS over the cosets around the base, deduplicated by key.
-    Yields (vertex, depth, parent, edge, residue), the parent as its
-    position in the yield order (None, with edge and residue, at the base);
-    vertices at depth ``radius`` are not expanded."""
+    """Lazy BFS over the cosets around the base.  Yields (vertex, depth,
+    parent, edge, residue), the parent as its position in the yield order
+    (None, with edge and residue, at the base); vertices at depth
+    ``radius`` are not expanded.  A key's children are its steps under
+    ``GbsGroup.steps`` (module notes); no vertex lies ``n_vertices`` edges
+    from the base, so the rule's distance filter drops none."""
+    steps, remaining = group.steps, group.graph.n_vertices
     start = base_vertex(group)
     yield start, 0, None, None, None
-    seen = {start}
-    queue = deque([(start, 0, 0)])
-    while queue:
-        v, d, i = queue.popleft()
-        if d >= radius:
-            continue
-        for w, e, rho in _neighbors(group, v):
-            if w not in seen:
-                yield w, d + 1, i, e, rho
-                queue.append((w, d + 1, len(seen)))
-                seen.add(w)
+    queue = [(start, 0)]            # grows while read, in yield order
+    for i, (v, d) in enumerate(queue):
+        if d < radius:
+            for e, w, residues in steps(v.vertex, v.key, remaining):
+                for rho in residues:
+                    child = TreeVertex(w, v.key[:-1] + (rho, e, 0))
+                    yield child, d + 1, i, e, rho
+                    queue.append((child, d + 1))
 
 
 def ball(group: GbsGroup, radius: int) -> TreeBall:
-    """BFS ball around the base coset; vertices deduplicated by coset key."""
+    """BFS ball around the base coset; each coset appears once."""
     if radius < 0:
         raise GraphError("radius must be nonnegative")
     b = TreeBall(group=group, radius=radius)

@@ -103,6 +103,7 @@ class GbsGroup:
         self.spanning = spanning
         self.base = spanning.base
         self._geo = self._base_geodesics()
+        self.steps = _step_rule(self)   # shared by every closed-word walk
 
     @classmethod
     def from_text(cls, text: str) -> "GbsGroup":
@@ -358,7 +359,7 @@ def closed_words(group: GbsGroup, max_edges: int, exp_bound: int):
     Canonical forms are generated directly by ``_step_rule``, so each group
     element appears exactly once.  Words are emitted as item tuples.
     """
-    steps = _step_rule(group)
+    steps = group.steps
 
     def rec(v, items, remaining):
         if v == group.base:
@@ -386,7 +387,7 @@ def random_closed_word(group: GbsGroup, rng: random.Random, max_edges: int,
     """Random canonical closed word: a walk of random length whose steps
     are drawn from ``_step_rule``, then a random trailing exponent.  A walk
     that dead-ends is drawn again."""
-    steps = _step_rule(group)
+    steps = group.steps
     for _ in range(1000):
         items = [0]
         v = group.base

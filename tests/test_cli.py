@@ -105,11 +105,16 @@ def test_pingpong_cli():
 
 
 def test_pingpong_cli_precondition_error(tmp_path):
-    p = tmp_path / "bs22.gbs"
-    p.write_text(bs_text(2, 2))
-    r = run("pingpong", str(p), "--edge", "y", "-L", "1",
-            "--word-bound", "1", "--exp-bound", "2")
-    assert r.returncode == 2
+    """An improper edge (BS(1, 2)) and a tree edge exit 2 with a message."""
+    p = tmp_path / "bs12.gbs"
+    p.write_text(bs_text(1, 2))
+    for path, edge, message in ((str(p), "y", "y is improper"),
+                                (str(FIXTURES / "two_vertex.gbs"), "w",
+                                 "w is a tree edge")):
+        r = run("pingpong", path, "--edge", edge, "-L", "1",
+                "--word-bound", "1", "--exp-bound", "2")
+        assert r.returncode == 2, r.stdout
+        assert r.stderr.startswith(f"gbs: {message}") and r.stdout == ""
 
 
 def test_normest_cli_and_determinism():
@@ -144,6 +149,11 @@ def test_exit_codes(tmp_path):
                 "--word-bound", word_bound, "--exp-bound", exp_bound)
         assert r.returncode == 2, r.stdout
         assert "nonnegative" in r.stderr
+    # no g outside <a^9> within these bounds: nothing to prove
+    r = run("pingpong", BS23, "--edge", "y", "-L", "0", "--word-bound", "0",
+            "--exp-bound", "0")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "gbs: no g outside <a^9> within the bounds\n"
     r = run("normest", BS23, "--edge", "y", "--radius", "2", "--m", "4,x")
     assert r.returncode == 2
     assert "bad m list" in r.stderr and "Traceback" not in r.stderr

@@ -7,7 +7,7 @@ import pytest
 
 from gbs import pingpong, wordcore
 from gbs.graphs import parse_graph
-from gbs.indices import modular_value
+from gbs.indices import big_N, modular_value
 from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
                        _seam_depth, _seam_reach, closed_words,
                        random_closed_word)
@@ -39,20 +39,27 @@ def test_build_ce2_l_zero_collapses_tail(bs23):
 
 
 def test_build_ce2_preconditions(bs23, gbs2):
-    g22, s22 = parse_graph(bs_text(2, 2))
-    with pytest.raises(pingpong.PingPongError):
-        pingpong.build_ce2(GbsGroup(g22, s22), "y", 2)
-    with pytest.raises(pingpong.PingPongError):
-        pingpong.build_ce2(gbs2, "w", 2)      # tree edge
+    """Only y's own hypotheses: a non-tree edge, proper at both ends, and
+    L >= 0.  The rest of the graph plays no part: BS(2, 2), which fails
+    the theorem's conditions, and a loop x with equal kappa values beside
+    y are accepted, and both pass."""
+    with pytest.raises(pingpong.PingPongError, match="w is a tree edge"):
+        pingpong.build_ce2(gbs2, "w", 2)
+    for alpha in ("1 2", "-1 3", "2 -1"):
+        group = GbsGroup(*parse_graph(
+            f"vertex P\nedge y : P -> P alpha {alpha}\n"))
+        for edge in ("y", "~y"):
+            with pytest.raises(pingpong.PingPongError,
+                               match=f"{edge} is improper"):
+                pingpong.build_ce2(group, edge, 2)
     with pytest.raises(pingpong.PingPongError, match="L must be nonnegative"):
         pingpong.build_ce2(bs23, "y", -1)
-    # a second loop x beside y: the graph meets the conditions through y,
-    # but alpha 2 2 gives x equal kappa values
+    g22 = GbsGroup(*parse_graph(bs_text(2, 2)))
     group = GbsGroup(*parse_graph(
         "vertex P\nedge y : P -> P alpha 3 2\nedge x : P -> P alpha 2 2\n"))
-    with pytest.raises(pingpong.PingPongError,
-                       match=r"kappa values coincide at x \(1\)"):
-        pingpong.build_ce2(group, "x", 2)
+    for data in (pingpong.build_ce2(g22, "y", 2),
+                 pingpong.build_ce2(group, "x", 1)):
+        assert pingpong.verify_pingpong(data, 1, 1).passed
     assert pingpong.build_ce2(group, "y", 0).edge == group.graph.edge_id("y")
 
 
@@ -312,19 +319,56 @@ def test_verify_matches_brute_force_on_random_graphs():
     assert outcomes["perturbed", True] and outcomes["perturbed", False]
 
 
+def _unguarded_ce2(group, e, big_l):
+    """``build_ce2``'s data on ``e`` without its guards."""
+    graph = group.graph
+    a = group.vertex_generator(graph.terminus[e])
+    b = group.vertex_generator(graph.origin[e])
+    t = group.edge_generator(e)
+    z = pingpong._conjugators(a, b, t, big_l, 0)
+    return pingpong.Ce2Data(
+        group=group, edge=e, a=a, b=b, t=t, n=abs(graph.alpha[e]),
+        m=abs(graph.alpha[e ^ 1]), N=big_N(graph, group.spanning, e),
+        L=big_l, z=tuple(itertools.islice(z, pingpong.CE2_COUNT)))
+
+
 def test_verify_passes_on_random_graphs():
-    """Every directed edge that build_ce2 accepts at L = 1 on the first 400
-    seeded random graphs passes, at word bound 0 and exponent bound 3."""
+    """Every non-tree directed edge of the first 400 seeded random graphs
+    at L = 1, word bound 0 and exponent bound 3: ``build_ce2`` accepts the
+    proper ones, and every one with a g to prove passes; it rejects the
+    improper ones, and their unguarded data fails whenever some g is left.
+    So y's properness is the one hypothesis the proof needs.  With no g
+    outside <a^N>, the verifier raises."""
     rng = random.Random(0)
-    graphs = edges = certified = 0
+    outcomes = Counter()
+    graphs = certified = 0
     for _ in range(400):
-        reports = [pingpong.verify_pingpong(data, 0, 3) for data in
-                   _ce2_edges(GbsGroup.from_text(random_graph_text(rng)), 1)]
-        assert all(rep.passed for rep in reports)
-        graphs += bool(reports)
-        edges += len(reports)
-        certified += sum(rep.certified for rep in reports)
-    assert (graphs, edges, certified) == (76, 258, 142_614)
+        group = GbsGroup.from_text(random_graph_text(rng))
+        passing = 0
+        for e in range(group.graph.n_edges):
+            if e in group.spanning.tree_edges:
+                continue
+            proper = min(abs(group.graph.alpha[x]) for x in (e, e ^ 1)) > 1
+            if proper:
+                data = pingpong.build_ce2(group, e, 1)
+            else:
+                with pytest.raises(pingpong.PingPongError, match="improper"):
+                    pingpong.build_ce2(group, e, 1)
+                data = _unguarded_ce2(group, e, 1)
+            try:
+                rep = pingpong.verify_pingpong(data, 0, 3)
+            except pingpong.PingPongError as exc:
+                assert "no g outside" in str(exc)
+                outcomes[proper, "vacuous"] += 1
+                continue
+            outcomes[proper, rep.passed] += 1
+            if rep.passed:
+                passing += 1
+                certified += rep.certified
+        graphs += bool(passing)
+    assert outcomes == {(True, True): 859, (True, "vacuous"): 7,
+                        (False, False): 326, (False, "vacuous"): 38}
+    assert (graphs, certified) == (265, 334_332)
 
 
 def test_outside_cyclic_matches_kernel_conjugation():
