@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from gbs import wordcore
 from gbs.pingpong import Ce2Data, averaging_elements
-from gbs.words import GbsGroup, GroupElement
+from gbs.words import GbsGroup, GroupElement, WordError
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -137,21 +138,29 @@ def average_conjugates(x: FormalElement, conjugators) -> FormalElement:
 class Ball:
     """Deterministic BFS closure of products of few generators.
 
-    ``by_length`` maps each edge length to the ball indices of that length,
-    in index order."""
+    ``index`` maps the canonical item tuple of each element to its ball
+    index, in index order, and ``by_length`` maps each edge length to the
+    ball indices of that length, in index order.  ``elements``, the
+    ``GroupElement``s in index order, is built on first access."""
 
-    __slots__ = ("elements", "index", "by_length", "radius")
+    __slots__ = ("group", "index", "by_length", "radius", "_elements")
 
-    def __init__(self, elements, radius):
-        self.elements = elements
-        self.index = {g.items: i for i, g in enumerate(elements)}
-        self.by_length = {}
-        for i, g in enumerate(elements):
-            self.by_length.setdefault(g.edge_length, []).append(i)
+    def __init__(self, group, index, by_length, radius):
+        self.group = group
+        self.index = index
+        self.by_length = by_length
         self.radius = radius
+        self._elements = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.index)
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = [GroupElement(self.group, items, _canonical=True)
+                              for items in self.index]
+        return self._elements
 
     def position(self, g: GroupElement):
         return self.index.get(g.items)
@@ -170,14 +179,22 @@ def default_generators(group: GbsGroup):
     return gens
 
 
+def _check_group(g: GroupElement, group: GbsGroup) -> None:
+    if g.group is not group:
+        raise WordError("elements of different groups")
+
+
 def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
     """Breadth-first ball: from each frontier element g, in order, append
     every new g s for the generators s in list order.
 
-    An element reached by the step s keeps the index of s^-1 in the list (the
-    first one, or None when s^-1 is not listed), and that one product is not
+    The walk runs on canonical item lists through the kernel's product; each
+    new element's one hash is its insert into the ball's index.  An element
+    reached by the step s keeps the index of s^-1 in the list (the first
+    one, or None when s^-1 is not listed), and that one product is not
     formed from it: it only leads back to the parent, which is already seen.
-    The elements and their order are those of the plain BFS."""
+    The elements and their order are those of the plain BFS.  Every
+    generator must belong to ``group`` (WordError otherwise)."""
     if generators is None:
         generators = default_generators(group)
     generators = list(generators)
@@ -185,26 +202,31 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
         raise OpsimError("radius must be nonnegative")
     first = {}
     for k, s in enumerate(generators):
+        _check_group(s, group)
         first.setdefault(s.items, k)
     undo = [first.get(s.inverse().items) for s in generators]
-    identity = group.identity()
-    seen = {identity.items: identity}
-    frontier = [(identity, None)]
+    steps = [list(s.items) for s in generators]
+    alpha = group.graph.alpha
+    mul = wordcore.mul_items
+    identity = group.identity().items
+    index = {identity: 0}
+    by_length = {0: [0]}
+    frontier = [(list(identity), None)]
     for _ in range(radius):
         new = []
         for g, back in frontier:
-            for k, s in enumerate(generators):
+            for k, s in enumerate(steps):
                 if k == back:
                     continue
-                h = g * s
-                if h.items not in seen:
-                    seen[h.items] = h
+                h = mul(g, s, alpha)
+                n = len(index)
+                if index.setdefault(tuple(h), n) == n:
+                    by_length.setdefault(len(h) // 2, []).append(n)
                     new.append((h, undo[k]))
         frontier = new
         if not frontier:
             break
-    elements = list(seen.values())
-    return Ball(elements, radius)
+    return Ball(group, index, by_length, radius)
 
 
 @dataclass
@@ -214,7 +236,10 @@ class BallOperator:
 
 def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     """Sum of coefficient-weighted translation operators; for lam(g) the
-    partial permutation x -> g x on the ball.
+    partial permutation x -> g x on the ball.  Each product is the kernel's,
+    of the items of g and of x, looked up in ``ball.index``; no
+    ``GroupElement`` is formed.  Every term must belong to the ball's
+    group (WordError otherwise).
 
     Coefficients must be real (OpsimError otherwise): the norm solver
     multiplies by M^T, which is the adjoint of M only for a real M.
@@ -234,10 +259,15 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     import numpy as np
     from scipy.sparse import csr_matrix
 
-    for c in x.terms.values():
+    for g, c in x.terms.items():
+        _check_group(g, ball.group)
         if not isinstance(c, numbers.Real):
             raise OpsimError(f"coefficients must be real, got {c!r}")
     top = max(ball.by_length, default=0)
+    alpha = ball.group.graph.alpha
+    mul = wordcore.mul_items
+    index = ball.index
+    ball_items = list(index)
     rows, cols, vals = [], [], []
     paired = set()
     for g, c in x.terms.items():
@@ -253,9 +283,10 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
             paired.add(ginv.items)
             cinv = float(cinv)
         fc = float(c)
+        gl = list(g.items)
         for js in near:
             for j in js:
-                i = ball.position(g * ball.elements[j])
+                i = index.get(tuple(mul(gl, list(ball_items[j]), alpha)))
                 if i is not None:
                     rows.append(i)
                     cols.append(j)

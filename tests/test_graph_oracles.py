@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbs.graphs import (Decomposition, GraphError, SpanningData,
                         compute_spanning_tree, decompose, paths_from,
@@ -13,7 +14,7 @@ from gbs.graphs import (Decomposition, GraphError, SpanningData,
 from gbs import indices
 from gbs.indices import (TheoremVerdict, big_N, check_theorem, kappa_pair,
                          modular_value)
-from gbs.words import GbsGroup, closed_words
+from gbs.words import GbsGroup, closed_words, random_closed_word
 
 from conftest import random_graph_text
 from oracles import oracle_big_n
@@ -275,3 +276,29 @@ def test_word_printer_roundtrip():
             assert group.from_string(group.to_string(g)) == g
             words += 1
     assert words > 10_000
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_graph_text_roundtrip_on_random_graphs(rng):
+    """``to_text`` is a fixed point of ``parse_graph``: the printed text
+    parses back to the same graph, base and tree edges, and prints again
+    unchanged."""
+    graph, spanning = parse_graph(random_graph_text(rng))
+    text = graph.to_text(spanning)
+    graph2, spanning2 = parse_graph(text)
+    assert graph2.to_text(spanning2) == text
+    for field in ("vertices", "edge_names", "origin", "terminus", "alpha"):
+        assert getattr(graph2, field) == getattr(graph, field)
+    assert spanning2 == spanning
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_word_string_roundtrip_on_random_graphs(rng):
+    """``from_string`` inverts ``to_string`` on ``random_closed_word``
+    draws over a random graph."""
+    group = GbsGroup.from_text(random_graph_text(rng))
+    for _ in range(5):
+        g = random_closed_word(group, rng, 4, 6, nontrivial=False)
+        assert group.from_string(group.to_string(g)) == g

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from gbs import opsim, pingpong
-from gbs.words import GroupElement, random_closed_word
+from conftest import BS23_TEXT
+from gbs import opsim, pingpong, wordcore
+from gbs.words import (GbsGroup, GroupElement, WordError,
+                       random_closed_word)
 
 
 def lam(g, c=1):
@@ -277,27 +279,55 @@ def test_enumerate_ball_odd_generator_lists(bs23):
     ("bs23", 8, 7762, 6575), ("gbs2", 4, 866, 799)])
 def test_normest_product_counts(request, monkeypatch, name, radius,
                                 ball_mul, f_mul):
-    """One product per non-parent step of the BFS, and one per ball element
-    for f = lam(g) + lam(g^-1): a second product per {g, g^-1} pair or a
-    step back to the parent fails by count."""
+    """One kernel product per non-parent step of the BFS, and one per ball
+    element for f = lam(g) + lam(g^-1): a second product per {g, g^-1} pair
+    or a step back to the parent fails by count.  Neither the BFS nor the
+    assembly goes through GroupElement products."""
     group = request.getfixturevalue(name)
     e = group.graph.edge_id("y")
     t = group.edge_generator(e)
     g = t * group.vertex_generator(group.graph.terminus[e]) * t.inverse()
     f = lam(g) + lam(g.inverse())
     calls = [0]
-    mul = GroupElement.__mul__
+    element_calls = [0]
+    mul = wordcore.mul_items
+    element_mul = GroupElement.__mul__
 
-    def counting(self, other):
+    def counting(a, b, alpha):
         calls[0] += 1
-        return mul(self, other)
+        return mul(a, b, alpha)
 
-    monkeypatch.setattr(GroupElement, "__mul__", counting)
+    def element_counting(self, other):
+        element_calls[0] += 1
+        return element_mul(self, other)
+
+    monkeypatch.setattr(wordcore, "mul_items", counting)
+    monkeypatch.setattr(GroupElement, "__mul__", element_counting)
     ball = opsim.enumerate_ball(group, None, radius)
     assert (len(ball), calls[0]) == (f_mul, ball_mul)
     calls[0] = 0
     opsim.operator_of(f, ball)
     assert calls[0] == f_mul
+    assert element_calls[0] == 0
+
+
+def test_ball_and_operator_reject_foreign_elements():
+    """Two groups parsed from one text have equal items but their own alpha
+    tables: a generator or a term of the other group raises WordError, as
+    their GroupElement product does, also at radius 0 and for a term the
+    edge-length gap would skip."""
+    one, two = GbsGroup.from_text(BS23_TEXT), GbsGroup.from_text(BS23_TEXT)
+    a, t = one.vertex_generator("P"), two.edge_generator("y")
+    with pytest.raises(WordError, match="different groups"):
+        a * t
+    for radius in (0, 2):
+        with pytest.raises(WordError, match="different groups"):
+            opsim.enumerate_ball(one, [a, a.inverse(), t], radius)
+    ball = opsim.enumerate_ball(one, None, 2)
+    for x in (lam(t), lam(t ** 10), lam(one.edge_generator("y")) + lam(t)):
+        with pytest.raises(WordError, match="different groups"):
+            opsim.operator_of(x, ball)
+    assert opsim.operator_of(lam(one.edge_generator("y")), ball).matrix.nnz
 
 
 def test_norm_identity_and_isometry(bs23):
