@@ -10,6 +10,7 @@ report "conditions not met" are data and exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,7 +26,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     p = _Parser(prog="gbs", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

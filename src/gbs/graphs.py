@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -155,8 +155,7 @@ class GbsGraph:
                 f"{len(self.edge_names)} edge pairs)")
 
 
-@dataclass(frozen=True)
-class SpanningData:
+class SpanningData(NamedTuple):
     """A maximal subtree, an orientation, and a base vertex.
 
     ``tree_edges`` holds the directed edge indices of the subtree (both
@@ -273,8 +272,7 @@ def parse_graph(text: str):
     return graph, SpanningData(tree_edges=tree_edges, base=base)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Removing one edge pair splits the fundamental group as an HNN
     extension (graph stays connected) or an amalgam (it falls apart)."""
 

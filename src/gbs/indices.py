@@ -13,9 +13,9 @@ conventions coexist in the literature for an edge y; we pin them here once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from gbs.graphs import GbsGraph, GraphError, SpanningData, paths_from
 from gbs.words import GroupElement, _seam_depth
@@ -128,8 +128,7 @@ def vertex_index(g: GroupElement, vertex) -> int:
     return _index_along(alpha, u[1:len(u) - 2 * d:2] + h[2 * d + 1::2])
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """The four sufficient conditions for C*-simplicity of the closure."""
 
     not_a_tree: bool
@@ -160,8 +159,7 @@ def check_theorem(graph: GbsGraph, spanning: SpanningData) -> TheoremVerdict:
     return index_report(graph, spanning).verdict
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     kappa: dict            # declared edge -> (kappa_y, kappa_ybar)
     k_prime: dict          # declared edge -> (k'_y, k'_ybar)
     proper: dict           # directed edge name -> bool

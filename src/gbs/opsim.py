@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from gbs import wordcore
 from gbs.pingpong import Ce2Data, averaging_elements
@@ -229,8 +228,7 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
     return Ball(group, index, by_length, radius)
 
 
-@dataclass
-class BallOperator:
+class BallOperator(NamedTuple):
     matrix: csr_matrix
 
 
@@ -382,8 +380,7 @@ def norm_estimate(op: BallOperator, tol: float = 1e-6,
     return value
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     m: int
     bound: float
     estimate: float
@@ -394,8 +391,7 @@ class DecayRow:
         return self.estimate <= self.bound + 1e-9
 
 
-@dataclass(frozen=True)
-class DecayTable:
+class DecayTable(NamedTuple):
     rows: tuple
     f_norm: float
     ball_size: int
@@ -443,8 +439,7 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
     return DecayTable(rows=tuple(rows), f_norm=f_norm, ball_size=len(ball_))
 
 
-@dataclass(frozen=True)
-class PsReport:
+class PsReport(NamedTuple):
     trials: int
     dim: int
     max_ratio: float

@@ -18,9 +18,9 @@ c, d in {a, e} protecting the junctions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import islice
 from math import lcm
+from typing import NamedTuple
 
 from gbs import wordcore
 from gbs.indices import big_N, vertex_index
@@ -36,8 +36,7 @@ class PingPongError(ValueError):
     """Preconditions of the averaging constructions are not met."""
 
 
-@dataclass(frozen=True)
-class Ce2Data:
+class Ce2Data(NamedTuple):
     """Inputs and conjugators of the compact-open-subgroup averaging lemma."""
 
     group: GbsGroup
@@ -153,8 +152,7 @@ def _depth_bound(z, s, w, width):
     return min(m, n) - width
 
 
-@dataclass(frozen=True)
-class PingPongReport:
+class PingPongReport(NamedTuple):
     pairs_checked: int
     passed: bool
     counterexample: dict | None
@@ -338,8 +336,7 @@ def choose_cd(group: GbsGroup, edge, g: GroupElement):
                         "length lemma and needs investigation")
 
 
-@dataclass(frozen=True)
-class TheoremData:
+class TheoremData(NamedTuple):
     """Conjugators around an arbitrary element g, with the cyclic-subgroup
     realizations of the compact groups they stabilize."""
 
@@ -401,4 +398,4 @@ def in_Ui(f: GroupElement, data: TheoremData, i: int) -> bool:
 def make_negative_control(data: Ce2Data) -> Ce2Data:
     """Replace every conjugator by the identity; verification must then fail."""
     ident = data.group.identity()
-    return replace(data, z=tuple(ident for _ in data.z))
+    return data._replace(z=tuple(ident for _ in data.z))

@@ -16,7 +16,7 @@ closed-word rule ``GbsGroup.steps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gbs import wordcore
 from gbs.graphs import Decomposition, GraphError, decompose, paths_from
@@ -24,12 +24,16 @@ from gbs.words import (GbsGroup, GroupElement, WordError, path_items,
                        path_string)
 
 
+# Caps on one ``ball``: about 1 KB per vertex once exported.
+MAX_BALL_VERTICES = 500_000
+MAX_BALL_KEY_LETTERS = 10_000_000
+
+
 class SearchExhausted(RuntimeError):
     """A bounded tree search ran out of radius before succeeding."""
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     """A coset g G_P: vertex type plus canonical representative key."""
 
     vertex: int
@@ -64,15 +68,15 @@ def stabilizes(group: GbsGroup, g: GroupElement, v: TreeVertex) -> bool:
     return act(group, g, v) == v
 
 
-@dataclass
 class TreeBall:
     """A radius-r ball around the base coset, BFS order, frontier flagged."""
 
-    group: GbsGroup
-    radius: int
-    vertices: list = field(default_factory=list)
-    depth: dict = field(default_factory=dict)
-    edges: list = field(default_factory=list)   # (i, j, edge, residue)
+    def __init__(self, group: GbsGroup, radius: int):
+        self.group = group
+        self.radius = radius
+        self.vertices = []
+        self.depth = {}          # vertex -> (depth, index)
+        self.edges = []          # (i, j, edge, residue)
 
     @property
     def center(self) -> TreeVertex:
@@ -148,11 +152,48 @@ def _bfs(group: GbsGroup, radius: int):
                     queue.append((child, d + 1))
 
 
+def layer_sizes(group: GbsGroup):
+    """Yield the number of tree vertices at depth 0, 1, ... from the base
+    coset, from the alphas alone: a vertex of type v has |alpha(bar f)|
+    neighbours along each edge f leaving v, one of which is its parent when
+    it was reached along bar f.  Stops after the last nonempty depth."""
+    graph = group.graph
+    layer = {(group.base, None): 1}     # (type, arrival edge) -> vertices
+    while layer:
+        yield sum(layer.values())
+        nxt = {}
+        for (v, arrived), c in layer.items():
+            for f in graph.edges_from(v):
+                n = abs(graph.alpha[f ^ 1]) - (f ^ 1 == arrived)
+                if n:
+                    key = graph.terminus[f], f
+                    nxt[key] = nxt.get(key, 0) + c * n
+        layer = nxt
+
+
+def _check_ball_caps(group: GbsGroup, radius: int):
+    """Refuse a ball over the caps before any BFS.  A key at depth d has
+    2d + 1 letters, so a line-shaped tree that is cheap in vertices can
+    still be quadratic in letters."""
+    vertices = letters = 0
+    for d, n in zip(range(radius + 1), layer_sizes(group)):
+        vertices += n
+        letters += n * (2 * d + 1)
+        if vertices > MAX_BALL_VERTICES:
+            raise GraphError(f"radius {radius} ball exceeds the cap of "
+                             f"{MAX_BALL_VERTICES} vertices")
+        if letters > MAX_BALL_KEY_LETTERS:
+            raise GraphError(f"radius {radius} ball exceeds the cap of "
+                             f"{MAX_BALL_KEY_LETTERS} key letters")
+
+
 def ball(group: GbsGroup, radius: int) -> TreeBall:
-    """BFS ball around the base coset; each coset appears once."""
+    """BFS ball around the base coset; each coset appears once.  Balls over
+    ``MAX_BALL_VERTICES`` or ``MAX_BALL_KEY_LETTERS`` raise GraphError."""
     if radius < 0:
         raise GraphError("radius must be nonnegative")
-    b = TreeBall(group=group, radius=radius)
+    _check_ball_caps(group, radius)
+    b = TreeBall(group, radius)
     for w, d, parent, e, rho in _bfs(group, radius):
         i = len(b.vertices)
         if parent is not None:

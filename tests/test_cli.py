@@ -165,6 +165,9 @@ def test_exit_codes(tmp_path):
     assert r.returncode == 2, r.stdout
     assert r.stderr.startswith("gbs: seed must be nonnegative")
     assert "Traceback" not in r.stderr and r.stdout == ""
+    r = run("tree", BS23, "--radius", "3000000")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "gbs: radius 3000000 ball exceeds the cap of 500000 vertices\n"
     r = run("tree", str(tmp_path), "--radius", "1")
     assert r.returncode == 2, r.stdout
     assert "Is a directory" in r.stderr and "Traceback" not in r.stderr
@@ -175,14 +178,42 @@ def test_exit_codes(tmp_path):
     assert "not UTF-8" in r.stderr and "Traceback" not in r.stderr
 
 
-_NUMERIC_PROBE = """\
+def test_parser_reuse_matches_fresh_runs(capsys):
+    """The parser is built once per process: a sequence of commands through
+    one ``cli.main``, usage and input errors included, gives each command's
+    exit code and output from a fresh interpreter."""
+    commands = [
+        ("tree", BS23, "--format", "pdf"),
+        ("check", BS23),
+        ("pingpong", BS23, "--edge", "y", "-L", "1", "--word-bound", "1",
+         "--exp-bound", "2"),
+        ("normest", BS23, "--edge", "y", "--radius", "2", "--seed", "-1"),
+        ("reduce", BS23, "g[y]*a[P]^3*g[y]^-1"),
+        ("normest", BS23, "--edge", "y", "--radius", "2", "--m", "4,9"),
+    ]
+    codes = []
+    for argv in commands:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+        codes.append(code)
+    assert codes == [1, 0, 0, 2, 0, 0]
+
+
+_IMPORT_PROBE = """\
 import sys
 code = 0
 {statement}
-loaded = {{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}}
+loaded = {{m.split(".")[0] for m in sys.modules}} & {watched!r}
 sys.stderr.write("\\n" + ",".join(sorted(loaded)))
 sys.exit(code)
 """
+_NUMERIC = {"numpy", "scipy"}
 _MAIN = "from gbs import cli\ncode = cli.main(sys.argv[1:])"
 
 
@@ -202,8 +233,11 @@ _MAIN = "from gbs import cli\ncode = cli.main(sys.argv[1:])"
 def test_exact_commands_leave_numeric_stack_unloaded(statement, argv):
     """Only the norm experiment computes in floating point; every other
     command, and importing the package or the CLI, must not load numpy or
-    scipy (a fresh interpreter per case, so nothing is loaded already)."""
-    code = _NUMERIC_PROBE.format(statement=statement)
+    scipy, nor dataclasses or inspect (a dozen modules of import time in
+    every process).  A fresh interpreter per case, so nothing is loaded
+    already."""
+    code = _IMPORT_PROBE.format(statement=statement,
+                                watched=_NUMERIC | {"dataclasses", "inspect"})
     r = subprocess.run([sys.executable, "-c", code, *argv],
                        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert r.returncode == 0, r.stderr
@@ -211,7 +245,7 @@ def test_exact_commands_leave_numeric_stack_unloaded(statement, argv):
 
 
 def test_normest_loads_numeric_stack():
-    code = _NUMERIC_PROBE.format(statement=_MAIN)
+    code = _IMPORT_PROBE.format(statement=_MAIN, watched=_NUMERIC)
     r = subprocess.run([sys.executable, "-c", code, "normest", BS23,
                         "--edge", "y", "--radius", "2", "--m", "4,9"],
                        capture_output=True, text=True, env=SUBPROCESS_ENV)

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -246,8 +245,8 @@ def test_verify_matches_brute_force(request, name, big_l, word_bound,
     cases = [
         data,
         pingpong.make_negative_control(data),
-        replace(data, z=tuple(perturbed)),
-        replace(data, z=tuple(_random_product(data, rng, 16)
+        data._replace(z=tuple(perturbed)),
+        data._replace(z=tuple(_random_product(data, rng, 16)
                               for _ in data.z)),
     ]
     outcomes = [_matches_brute_force(case, word_bound, exp_bound)
@@ -312,7 +311,7 @@ def test_verify_matches_brute_force_on_random_graphs():
         perturbed[k] = random_closed_word(data.group, rng, 2, 3) * perturbed[k]
         cases = (("real", data),
                  ("control", pingpong.make_negative_control(data)),
-                 ("perturbed", replace(data, z=tuple(perturbed))))
+                 ("perturbed", data._replace(z=tuple(perturbed))))
         for kind, case in cases:
             outcomes[kind, _matches_brute_force(case, 1, 1)] += 1
     assert outcomes["real", True] == outcomes["control", False] == 20
@@ -547,7 +546,7 @@ def _bound_cases(data, rng):
                       * random_closed_word(group, rng, 2, 3) for z in data.z)
     return (("real", data),
             ("control", pingpong.make_negative_control(data)),
-            ("perturbed", replace(data, z=perturbed)))
+            ("perturbed", data._replace(z=perturbed)))
 
 
 @pytest.mark.parametrize("name", ["bs23", "gbs2"])
@@ -560,7 +559,7 @@ def test_window_bound_matches_kernel_on_fixtures(request, name):
     for edge in ("y", "~y"):
         data = pingpong.build_ce2(group, edge, 2)
         cases = _bound_cases(data, rng)
-        cases += (("cut", replace(data, z=_cut_conjugators(data))),)
+        cases += (("cut", data._replace(z=_cut_conjugators(data))),)
         for kind, case in cases:
             for (bounded, power), count in _bound_matches_kernel(case, 6).items():
                 outcomes[kind, bounded, power is None] += count

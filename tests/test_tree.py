@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import json
+import pathlib
 import random
 from collections import Counter
 
@@ -8,6 +11,8 @@ from gbs import tree, wordcore
 from gbs.graphs import GraphError
 from gbs.words import GbsGroup
 from gbs.words import WordError, closed_words, random_closed_word
+
+from conftest import bs_text
 
 
 def test_ball_radius_zero(bs23):
@@ -59,6 +64,47 @@ def test_balls_are_trees(bs23, gbs2, two_vertex, chain3):
             b = tree.ball(group, r)
             got = Counter((b.depth[v][0], v.vertex) for v in b.vertices)
             assert got == _tree_counts(group, r), (group.graph.vertices, r)
+
+
+def _tree_ball_size():
+    """perfbench's recursive ball-size oracle (perfbench/run.py)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tree_ball_size
+
+
+def test_layer_sizes_match_ball_oracles(bs23, gbs2, two_vertex, chain3):
+    oracle = _tree_ball_size()
+    for group in (bs23, gbs2, two_vertex, chain3):
+        sizes = list(itertools.islice(tree.layer_sizes(group), 8))
+        for r in range(8):
+            assert sum(sizes[:r + 1]) == oracle(group.graph, group.base, r)
+        b = tree.ball(group, 4)
+        assert sizes[:5] == [n for _, n in sorted(
+            Counter(b.depth[v][0] for v in b.vertices).items())]
+    assert list(tree.layer_sizes(GbsGroup.from_text("vertex P\n"))) == [1]
+
+
+def test_ball_caps(bs23, monkeypatch):
+    """Over-cap balls are refused before the BFS; bs23 at radius 3 has 106
+    vertices and 1 + 5*3 + 20*5 + 80*7 = 676 key letters."""
+    with pytest.raises(GraphError, match="cap of 500000 vertices"):
+        tree.ball(bs23, 3_000_000)
+    line = GbsGroup.from_text(bs_text(1, 1))     # Z^2: the tree is a line
+    with pytest.raises(GraphError, match="cap of 10000000 key letters"):
+        tree.ball(line, 10_000)
+    monkeypatch.setattr(tree, "MAX_BALL_VERTICES", 106)
+    monkeypatch.setattr(tree, "MAX_BALL_KEY_LETTERS", 676)
+    assert len(tree.ball(bs23, 3).vertices) == 106
+    monkeypatch.setattr(tree, "MAX_BALL_VERTICES", 105)
+    with pytest.raises(GraphError, match="cap of 105 vertices"):
+        tree.ball(bs23, 3)
+    monkeypatch.setattr(tree, "MAX_BALL_VERTICES", 106)
+    monkeypatch.setattr(tree, "MAX_BALL_KEY_LETTERS", 675)
+    with pytest.raises(GraphError, match="cap of 675 key letters"):
+        tree.ball(bs23, 3)
 
 
 def test_interior_degrees(bs23, gbs2, two_vertex):
