@@ -24,6 +24,10 @@ from gbs.words import GbsGroup, GroupElement, WordError
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
+# Cap on one ``enumerate_ball``: each element is an item tuple and a dict
+# entry, a few hundred bytes, and operator assembly visits every one.
+MAX_BALL_ELEMENTS = 200_000
+
 
 class OpsimError(ValueError):
     pass
@@ -193,7 +197,9 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
     one, or None when s^-1 is not listed), and that one product is not
     formed from it: it only leads back to the parent, which is already seen.
     The elements and their order are those of the plain BFS.  Every
-    generator must belong to ``group`` (WordError otherwise)."""
+    generator must belong to ``group`` (WordError otherwise).  Before each
+    layer, a ball that could pass ``MAX_BALL_ELEMENTS``, its size plus one
+    element per frontier element and generator, raises OpsimError."""
     if generators is None:
         generators = default_generators(group)
     generators = list(generators)
@@ -212,6 +218,9 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
     by_length = {0: [0]}
     frontier = [(list(identity), None)]
     for _ in range(radius):
+        if len(index) + len(frontier) * len(steps) > MAX_BALL_ELEMENTS:
+            raise OpsimError(f"radius {radius} ball exceeds the cap of "
+                             f"{MAX_BALL_ELEMENTS} elements")
         new = []
         for g, back in frontier:
             for k, s in enumerate(steps):

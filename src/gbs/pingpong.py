@@ -71,27 +71,32 @@ def build_ce2(group: GbsGroup, edge, L: int) -> Ce2Data:
     t = group.edge_generator(e)
     return Ce2Data(group=group, edge=e, a=a, b=b, t=t, n=n, m=m,
                    N=big_N(graph, group.spanning, e), L=L,
-                   z=tuple(islice(_conjugators(a, b, t, L, 0), CE2_COUNT)))
+                   z=tuple(islice(_conjugators(a, b, t, L), CE2_COUNT)))
 
 
-def _conjugators(a, b, t, L: int, start: int):
-    """z_{start+1}, z_{start+2}, ... with z_j = r1^j r2 r1^L."""
+def _period(a, b, t):
+    """r1 = a t^-1 b t."""
+    return a * t.inverse() * b * t
+
+
+def _conjugators(a, b, t, L: int):
+    """z_1, z_2, ... with z_j = r1^j r2 r1^L, by z_{j+1} = r1 z_j."""
+    r1 = _period(a, b, t)
     tinv = t.inverse()
-    r1 = a * tinv * b * t
     r2 = a * tinv * tinv * b * t * t
-    r1_L = r1 ** L
-    acc = r1 ** start
+    z = r1 * r2 * r1 ** L
     while True:
-        acc = acc * r1                      # acc = r1^j
-        yield acc * r2 * r1_L
+        yield z
+        z = r1 * z
 
 
 def averaging_elements(data: Ce2Data, count: int):
-    """z_1 .. z_count; extends past the stored nine by the same pattern."""
+    """z_1 .. z_count; extends past the stored ones by z_{j+1} = r1 z_j."""
     out = list(data.z[:count])
     if count > len(out):
-        out.extend(islice(_conjugators(data.a, data.b, data.t, data.L,
-                                       len(out)), count - len(out)))
+        r1 = _period(data.a, data.b, data.t)
+        while len(out) < count:
+            out.append(r1 * out[-1])
     return out
 
 
@@ -196,8 +201,8 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     of that word and a canonical b changes letters only at the seam, and
     its carries change exponents only, so its letters are those of c s
     less the last d and of b less the first d, d the number of pinches
-    (``_seam_depth``).  So one product per skeleton and one per (j,
-    skeleton) do all the work:
+    (``_seam_depth``).  So one product per skeleton for the exclusion,
+    one per skeleton at j = 1 and one per j >= 2 do all the work:
 
     - g lies in <a^N> iff h^-1 g h = a^(N q) at t(y), h the tree word from
       the base to t(y); h^-1 has zero exponents, so it is canonical.  With
@@ -206,17 +211,44 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
       same reader as ``GbsGroup.as_vertex_power``).
     - With c = z_j and b = z_j^-1, d gives the letters of v.  Most pairs
       need no d.  Let W be the length of the shortest letter prefix of z_j
-      that holds P (once per j), and n, m the letter counts of z_j and w =
-      z_j s.  w keeps z_j's first n - d1 letters, d1 = (n + |s| - m)/2 the
-      pinches of z_j s, and v keeps w's first m - d.  v^-1's letters are
-      v's reversed and barred, and so are z_j^-1's of z_j, so v^-1 keeps
-      z_j's first n - d.  Hence for d1 <= n - W and d <= min(m, n) - W
-      both windows are z_j's own, and (j, g) holds.  A pinch needs
-      mirrored letters, so d is at most the reach R of w and z_j^-1
+      that holds P, and n, m the letter counts of z_j and w = z_j s.  w
+      keeps z_j's first n - d1 letters, d1 = (n + |s| - m)/2 the pinches
+      of z_j s, and v keeps w's first m - d.  v^-1's letters are v's
+      reversed and barred, and so are z_j^-1's of z_j, so v^-1 keeps z_j's
+      first n - d.  Hence for d1 <= n - W and d <= min(m, n) - W both
+      windows are z_j's own, and (j, g) holds.  A pinch needs mirrored
+      letters, so d is at most the reach R of w and z_j^-1
       (``_seam_reach``), which does not depend on k: R <= min(m, n) - W
       proves every k of s at once.  Otherwise d is read for each k, and
       only a d past the bound reads both windows of v's letters, once per
-      (j, s, d); only a failing pair builds v.
+      (j, s, d); only a failing pair builds v.  This runs at j = 1, and
+      at j >= 2 only where the lemma below does not apply.
+
+    The lemma: (1, g) gives (j, g) for every j >= 2.  Read words as reduced
+    paths from the base vertex of the Bass-Serre tree: two canonical words
+    share their first i letters with their exponents iff their paths share
+    their first i edges, and a product cancels the common start of the
+    first path reversed and the second translated.  Let u = r1^(j-1) and
+    let H be the position of z_1's first y-letter.  ``_failing_powers``
+    forms r1^(j-1) z_1 as r1 (r1^(j-2) z_1), one product per j, and
+    requires that it equal z_j, that r1's y-signs be exactly (-, +), and
+    that l_y(z_j) = l_y(z_1) + 2(j - 1).  Since l_y(u) <= 2(j - 1) and a
+    pinched y-letter takes one from each side, u keeps every y-letter,
+    with signs (-+)^(j-1), and the junction u | z_1 cancels no y-letter:
+    only letters of z_1 before its H-th.  The premise on g: d1 <= n - H
+    and d <= min(m, n) - H, the bound above with H for W (every skeleton
+    proven by the reach bound meets it, as H < W).  Then v_1 and v_1^-1
+    both start with z_1's first H letters, exponents included, so the
+    cancellation the junction reads is the same: u v_1 cancels what u z_1
+    does, and, since d(X, Y) = d(Y^-1, X^-1) for the pinch count of X Y,
+    the right junction of u v_1 u^-1 mirrors the left junction of
+    u v_1^-1.  Neither reaches a y-letter of v_1, and v_1 has one (it lies
+    in S'_1), so the two stay apart: v_j = u v_1 u^-1 has y-signs
+    (-+)^(j-1), then v_1's, then (-+)^(j-1), and likewise v_j^-1 with
+    v_1^-1's.  If v_1 and v_1^-1 lie in S'_1, then v_j and v_j^-1 lie in
+    S'_j, and (j, g) holds (Britton's lemma, as above).  A j whose
+    junction fails, and a g whose premise fails, are read as at j = 1,
+    so every (j, g) gets the verdict of that reading.
 
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
@@ -283,31 +315,76 @@ def _failing_powers(data: Ce2Data, skeletons):
     """Yield (j, s, proven, failure, reads) for every j and every skeleton
     s with its trailing exponents ks, in that order: the number of leading
     k in ks proven for every f, the first failing (k, power of v = z_j s
-    a^k z_j^-1) or None, and the number of k whose seam depth was read."""
+    a^k z_j^-1) or None, and the number of k whose seam depth was read.
+    Every skeleton is read at j = 1.  A j >= 2 whose junction holds takes
+    the verdict of each skeleton proven at j = 1 with z_1's head kept, and
+    reads the others; a j whose junction fails reads every skeleton (see
+    ``verify_pingpong``)."""
+    if not data.z:
+        return
     alpha = data.group.graph.alpha
-    for j, z in enumerate(data.z, 1):
-        zj, zj_inv = list(z.items), list(z.inverse().items)
-        width = _pattern_width(zj[1::2], data.edge, j)
-        tail = zj_inv[1::2]
-        for s, ks in skeletons:
-            w = wordcore.mul_items(zj, s, alpha)
-            limit = _depth_bound(zj, s, w, width)
-            if _seam_reach(w, zj_inv) <= limit:
+    pair = data.edge // 2
+    z1 = list(data.z[0].items)
+    head = next((i for i, x in enumerate(z1[1::2], 1) if x // 2 == pair),
+                None)
+    read = _skeleton_reader(data, 1, data.z[0], head)
+    extends = []
+    for s, ks in skeletons:
+        proven, failure, reads, keeps = read(s, ks)
+        extends.append(keeps)
+        yield 1, s, proven, failure, reads
+
+    r1 = list(_period(data.a, data.b, data.t).items)
+    periodic = _head(r1[1::2], data.edge, 3) == [data.edge ^ 1, data.edge]
+    y_length = sum(x // 2 == pair for x in z1[1::2])
+    zj = z1
+    for j, z in enumerate(data.z[1:], 2):
+        zj = wordcore.mul_items(r1, zj, alpha)       # r1^(j-1) z_1
+        y_length += 2
+        junction = (periodic and tuple(zj) == z.items
+                    and sum(x // 2 == pair for x in zj[1::2]) == y_length)
+        read = None
+        for (s, ks), keeps in zip(skeletons, extends):
+            if junction and keeps:
                 yield j, s, len(ks), None, 0
                 continue
-            head = w[1::2]
-            powers = {}                 # seam depth past limit -> failing power
+            read = read or _skeleton_reader(data, j, z)
+            yield (j, s) + read(s, ks)[:3]
+
+
+def _skeleton_reader(data: Ce2Data, j: int, z: GroupElement, head=None):
+    """``read(s, ks)`` -> (proven, failure, reads, keeps) for the conjugator
+    z = z_j and a skeleton s with its trailing exponents ks: the record of
+    ``_failing_powers``, one product z s, and whether every k is proven
+    with both seams of v = z s a^k z^-1 at most ``_depth_bound`` for the
+    first ``head`` letters of z (False when head is None)."""
+    alpha = data.group.graph.alpha
+    zj, zj_inv = list(z.items), list(z.inverse().items)
+    width = _pattern_width(zj[1::2], data.edge, j)
+    tail = zj_inv[1::2]
+
+    def read(s, ks):
+        w = wordcore.mul_items(zj, s, alpha)
+        limit = _depth_bound(zj, s, w, width)
+        deepest = _seam_reach(w, zj_inv)
+        reads = 0
+        if deepest > limit:
+            letters = w[1::2]
+            powers = {}             # seam depth past limit -> failing power
+            deepest = 0
             for i, k in enumerate(ks):
                 d = _seam_depth(w, k, zj_inv, alpha)[0]
+                deepest = max(deepest, d)
                 if d > limit:
                     if d not in powers:
                         powers[d] = _failing_power(
-                            head[:len(head) - d] + tail[d:], data.edge, j)
+                            letters[:len(letters) - d] + tail[d:], data.edge, j)
                     if powers[d] is not None:
-                        yield j, s, i, (k, powers[d]), i + 1
-                        break
-            else:
-                yield j, s, len(ks), None, len(ks)
+                        return i, (k, powers[d]), i + 1, False
+            reads = len(ks)
+        return len(ks), None, reads, deepest <= _depth_bound(zj, s, w, head)
+
+    return read
 
 
 _CD_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))

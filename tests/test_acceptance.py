@@ -72,9 +72,15 @@ def test_criterion_03_pingpong_exhaustive(bs23):
         assert report.pairs_checked == 4179474
         # every (j, g) is proven for all f, not only the bounded ones
         assert report.certified == report.g_count * report.j_count == 3033
+        # criterion 4 averages up to z_16: prove those conjugators too
+        longer = data._replace(z=tuple(pingpong.averaging_elements(data, 16)))
+        report16 = pingpong.verify_pingpong(longer, word_bound=3,
+                                            exponent_bound=6)
+        assert report16.passed, report16.counterexample
+        assert report16.certified == report16.g_count * 16 == 5392
     tm.done(f"criterion 3: ping-pong on BS23 proven for every f "
             f"({report.certified} (j, g) pairs, {report.pairs_checked} "
-            f"bounded triples)")
+            f"bounded triples; {report16.certified} pairs for j <= 16)")
 
 
 def test_criterion_04_norm_decay(bs23):

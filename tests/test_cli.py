@@ -168,6 +168,9 @@ def test_exit_codes(tmp_path):
     r = run("tree", BS23, "--radius", "3000000")
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "gbs: radius 3000000 ball exceeds the cap of 500000 vertices\n"
+    r = run("normest", BS23, "--edge", "y", "--radius", "40")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "gbs: radius 40 ball exceeds the cap of 200000 elements\n"
     r = run("tree", str(tmp_path), "--radius", "1")
     assert r.returncode == 2, r.stdout
     assert "Is a directory" in r.stderr and "Traceback" not in r.stderr

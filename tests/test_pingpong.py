@@ -324,7 +324,7 @@ def _unguarded_ce2(group, e, big_l):
     a = group.vertex_generator(graph.terminus[e])
     b = group.vertex_generator(graph.origin[e])
     t = group.edge_generator(e)
-    z = pingpong._conjugators(a, b, t, big_l, 0)
+    z = pingpong._conjugators(a, b, t, big_l)
     return pingpong.Ce2Data(
         group=group, edge=e, a=a, b=b, t=t, n=abs(graph.alpha[e]),
         m=abs(graph.alpha[e ^ 1]), N=big_N(graph, group.spanning, e),
@@ -454,14 +454,15 @@ def test_seam_depth_matches_kernel(bs23, gbs2, two_vertex, chain3):
 
 
 @pytest.mark.parametrize("name, products, reads",
-                         [("bs23", 260, 108), ("gbs2", 410, 225)],
-                         ids=["bs23-260", "gbs2-410"])
+                         [("bs23", 63, 12), ("gbs2", 93, 25)],
+                         ids=["bs23", "gbs2"])
 def test_verify_product_counts(request, monkeypatch, name, products, reads):
-    """One product per skeleton for the <a^N> exclusion and one per (j,
-    skeleton) for the verdicts: a product per g or per (j, g) fails by
-    count.  The window bound proves all but the (j, g) of a few skeletons
-    without a seam walk, and the depths walked stay within it, so no
-    window of v is read."""
+    """One product per skeleton for the <a^N> exclusion and one per
+    skeleton for the verdicts at j = 1; each later j costs one junction
+    product, and r1 three: a product per (j >= 2, skeleton), per g or per
+    (j, g) fails by count.  The window bound proves all but the (1, g) of
+    a few skeletons without a seam walk, the depths walked stay within it,
+    so no window of v is read, and every (j >= 2, g) follows from (1, g)."""
     group = request.getfixturevalue(name)
     data = pingpong.build_ce2(group, "y", 2)
     skeletons = sum(1 for _ in closed_words(group, 2, 0))
@@ -480,18 +481,123 @@ def test_verify_product_counts(request, monkeypatch, name, products, reads):
     monkeypatch.setattr(pingpong, "_failing_power", counting_power)
     rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
     assert rep.passed
-    assert calls["mul"] == products == (1 + rep.j_count) * skeletons
+    assert calls["mul"] == products == 2 * skeletons + (rep.j_count - 1) + 3
     assert rep.seam_reads == reads and calls["power"] == 0
     assert "seam_reads" not in rep.to_json_dict()
 
 
+def _per_j_powers(data, skeletons):
+    """``_failing_powers`` as it read every (j, skeleton): one product and
+    one reach per pair, no junction."""
+    for j, z in enumerate(data.z, 1):
+        read = pingpong._skeleton_reader(data, j, z)
+        for s, ks in skeletons:
+            yield (j, s) + read(s, ks)[:3]
+
+
+def _report_matches_per_j(monkeypatch, data, word_bound, exp_bound):
+    """Run the verifier on ``data`` and again with the per-j reading of
+    every (j, skeleton); the reports agree but for seam_reads, which the
+    junction only lowers.  Returns the verifier's report."""
+    rep = pingpong.verify_pingpong(data, word_bound, exp_bound)
+    with monkeypatch.context() as patch:
+        patch.setattr(pingpong, "_failing_powers", _per_j_powers)
+        oracle = pingpong.verify_pingpong(data, word_bound, exp_bound)
+    assert rep._replace(seam_reads=0) == oracle._replace(seam_reads=0)
+    assert rep.seam_reads <= oracle.seam_reads
+    return rep
+
+
+@pytest.mark.parametrize("name, big_l", [("bs23", 1), ("bs23", 2),
+                                         ("gbs2", 1), ("gbs2", 2)])
+def test_junction_matches_per_j_reading(request, monkeypatch, name, big_l):
+    """The verifier against the per-j reading on y and ~y: the real
+    conjugators pass, and every mutant gets the same report, counterexample
+    included.  The mutants: the negative control, r2 replaced by r1^2, the
+    cut conjugators, one z_k with a random word in front or behind, and
+    two that keep z_j = r1^(j-1) z_1 but break another premise of the
+    junction: z_1 without its leading a (r1 z_1 pinches a y-letter), and t
+    inverted (r1's y-signs are (+, -))."""
+    group = request.getfixturevalue(name)
+    rng = random.Random(53)
+    verdicts = Counter()
+    for edge in ("y", "~y"):
+        data = pingpong.build_ce2(group, edge, big_l)
+        r1 = pingpong._period(data.a, data.b, data.t)
+        k = rng.randrange(len(data.z))
+        x = random_closed_word(group, rng, 3, 3)
+        flipped = data._replace(t=data.t.inverse())
+        r1_flipped = pingpong._period(flipped.a, flipped.b, flipped.t)
+        cases = {
+            "real": data,
+            "control": pingpong.make_negative_control(data),
+            "r2 = r1^2": data._replace(z=tuple(
+                r1 ** (j + 2 + big_l) for j in range(1, len(data.z) + 1))),
+            "cut": data._replace(z=_cut_conjugators(data)),
+            "prefix": data._replace(
+                z=data.z[:k] + (x * data.z[k],) + data.z[k + 1:]),
+            "suffix": data._replace(
+                z=data.z[:k] + (data.z[k] * x,) + data.z[k + 1:]),
+            "pinched": data._replace(z=tuple(
+                r1 ** j * data.a.inverse() * data.z[0]
+                for j in range(len(data.z)))),
+            "flipped": flipped._replace(z=tuple(
+                r1_flipped ** j * data.z[0] for j in range(len(data.z)))),
+        }
+        for kind, case in cases.items():
+            rep = _report_matches_per_j(monkeypatch, case, 1, 3)
+            verdicts[kind, rep.passed] += 1
+            if kind in ("pinched", "flipped"):
+                assert rep.counterexample["j"] == 2
+    assert verdicts["real", True] == verdicts["control", False] == 2
+    assert verdicts["r2 = r1^2", False] == 2
+
+
+def test_junction_matches_per_j_on_improper_edges(monkeypatch):
+    """Unguarded data on improper edges of seeded random graphs fails, with
+    the per-j reading's report."""
+    rng = random.Random(0)
+    failed = 0
+    while failed < 10:
+        group = GbsGroup.from_text(random_graph_text(rng))
+        for e in range(group.graph.n_edges):
+            if e in group.spanning.tree_edges or min(
+                    abs(group.graph.alpha[x]) for x in (e, e ^ 1)) > 1:
+                continue
+            try:
+                rep = _report_matches_per_j(
+                    monkeypatch, _unguarded_ce2(group, e, 1), 1, 3)
+            except pingpong.PingPongError:
+                continue                # nothing to prove
+            assert not rep.passed
+            failed += 1
+
+
+@pytest.mark.parametrize("name, certified", [
+    ("bs23", (3033, 5392, 10784)), ("gbs2", (4788, 8512, 17024))])
+def test_junction_proves_every_stored_j(request, monkeypatch, name,
+                                        certified):
+    """Criterion 3's bounds with 9, 16 and 32 conjugators: every (j, g) is
+    proven, as the per-j reading proves it, and only j = 1 reads seams."""
+    group = request.getfixturevalue(name)
+    data = pingpong.build_ce2(group, "y", 2)
+    reads = set()
+    for count, expected in zip((9, 16, 32), certified):
+        case = data._replace(z=tuple(pingpong.averaging_elements(data, count)))
+        rep = _report_matches_per_j(monkeypatch, case, 1, 6)
+        assert rep.passed and rep.certified == expected
+        reads.add(rep.seam_reads)
+    assert len(reads) == 1
+
+
 def _bound_matches_kernel(case, exp_bound):
-    """Check the window bound of ``_failing_powers`` against v's full
+    """Check the window bound of the per-j reading against v's full
     letters, v = z_j s a^k z_j^-1 formed by two kernel products, for every
     (j, s, k) of ``case`` with trailing exponent within ``exp_bound``:
     the seam depth d never passes the reach; a d within the bound has no
     failing power; and each (j, s) record gives the leading proven k, the
-    first failing (k, power) and the seam reads.  Returns a Counter of
+    first failing (k, power) and the seam reads.  Then check
+    ``_failing_powers`` against those records.  Returns a Counter of
     (certified by the bound, failing power)."""
     group, edge = case.group, case.edge
     alpha = group.graph.alpha
@@ -499,7 +605,8 @@ def _bound_matches_kernel(case, exp_bound):
     ks = range(-exp_bound, exp_bound + 1)
     skeletons = [(s, pingpong._outside_cyclic(s, ks, h, case.N, alpha))
                  for s in map(list, closed_words(group, case.L, 0))]
-    records = pingpong._failing_powers(case, skeletons)
+    per_j = list(_per_j_powers(case, skeletons))
+    records = iter(per_j)
     outcomes = Counter()
     for j, z in enumerate(case.z, 1):
         zj, zj_inv = list(z.items), list(z.inverse().items)
@@ -525,7 +632,19 @@ def _bound_matches_kernel(case, exp_bound):
             reads = 0 if reach <= limit else proven + (failure is not None)
             assert next(records) == (j, s, proven, failure, reads)
     assert next(records, None) is None
+    _junction_matches_per_j(case, skeletons, per_j)
     return outcomes
+
+
+def _junction_matches_per_j(case, skeletons, per_j):
+    """``_failing_powers`` gives every (j, s) the verdict of the per-j
+    records ``per_j``, past a failure too; it reads no seam of a (j >= 2,
+    s) whose k all hold, or as many as the per-j reading."""
+    for new, old in itertools.zip_longest(
+            pingpong._failing_powers(case, skeletons), per_j):
+        assert new[:4] == old[:4]
+        assert new[4] == old[4] or (new[4] == 0 and new[0] > 1
+                                    and old[3] is None)
 
 
 def _cut_conjugators(data):
