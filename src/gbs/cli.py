@@ -95,6 +95,15 @@ def main(argv=None) -> int:
         return 3
 
 
+def _printed(text_of, value) -> str:
+    """``text_of(value)``; an integer past Python's int-to-string limit in
+    it is a WordError."""
+    try:
+        return text_of(value)
+    except ValueError:
+        raise WordError("result has an integer too long to print") from None
+
+
 def _dispatch(args) -> int:
     graph, spanning = _load(args.file)
     group = GbsGroup(graph, spanning)
@@ -105,7 +114,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "reduce":
-        print(group.to_string(group.from_string(args.word)))
+        print(_printed(group.to_string, group.from_string(args.word)))
         return 0
 
     if args.command == "indices":
@@ -121,6 +130,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "pingpong":
+        pingpong.check_search(group, args.big_l, args.word_bound,
+                              args.exp_bound)
         data = pingpong.build_ce2(group, args.edge, args.big_l)
         report = pingpong.verify_pingpong(data, args.word_bound, args.exp_bound)
         print(json.dumps(report.to_json_dict()))
@@ -146,8 +157,7 @@ def _dispatch(args) -> int:
         return 0 if table.all_passed else 3
 
     if args.command == "modular":
-        q = modular_value(group.from_string(args.word))
-        print(str(q))
+        print(_printed(str, modular_value(group.from_string(args.word))))
         return 0
 
     raise AssertionError(args.command)

@@ -227,9 +227,13 @@ def parse_graph(text: str):
             for ident in (name, o, t):
                 if not _IDENT.match(ident):
                     raise ParseError(f"bad identifier {ident!r}", lineno)
-            if int(af) == 0 or int(ab) == 0:
+            try:
+                af, ab = int(af), int(ab)
+            except ValueError:      # beyond Python's int-string limit
+                raise ParseError("alpha too long", lineno) from None
+            if af == 0 or ab == 0:
                 raise ParseError("alpha must be nonzero", lineno)
-            edges.append((name, o, t, int(af), int(ab)))
+            edges.append((name, o, t, af, ab))
         elif head == "tree":
             tree_names.extend(line.split()[1:])
             tree_declared = True

@@ -30,21 +30,6 @@ def _index_along(alpha, edges) -> int:
     return k
 
 
-def geodesic_k(graph: GbsGraph, spanning: SpanningData, path) -> int:
-    """k_c along a tree path, by the gcd recursion; 1 for the empty path.
-
-    In the group, [G_{t(end)} : G_{t(end)} cap G_{o(start)}] equals k_c.
-    """
-    prev_end = None
-    for e in path:
-        if e not in spanning.tree_edges:
-            raise GraphError(f"edge {graph.edge_name(e)} is not a tree edge")
-        if prev_end is not None and graph.origin[e] != prev_end:
-            raise GraphError("edges do not form a path")
-        prev_end = graph.terminus[e]
-    return _index_along(graph.alpha, path)
-
-
 def _edge_ks(graph: GbsGraph, spanning: SpanningData, e: int):
     """(k_c, k_cbar) for the tree path c from o(e) to t(e) and its reverse."""
     c = paths_from(graph, graph.origin[e], spanning.tree_edges)[graph.terminus[e]]
@@ -53,12 +38,16 @@ def _edge_ks(graph: GbsGraph, spanning: SpanningData, e: int):
 
 
 def _k_prime(graph: GbsGraph, e: int, kc: int, kcbar: int):
+    """(k'_y, k'_ybar): relative orders of the edge-group intersection in
+    the terminus and origin vertex groups."""
     m = abs(graph.alpha[e])
     n = abs(graph.alpha[e ^ 1])
     return lcm(m, kc * n // gcd(n, kcbar)), lcm(n, kcbar * m // gcd(m, kc))
 
 
 def _kappa(graph: GbsGraph, e: int, k_prime):
+    """(kappa_y, kappa_ybar): indices of the edge-group intersection inside
+    each of the two edge-group images."""
     kp, kp_bar = k_prime
     return kp // abs(graph.alpha[e]), kp_bar // abs(graph.alpha[e ^ 1])
 
@@ -67,20 +56,6 @@ def _big_n(graph: GbsGraph, e: int, kg: int, kgb: int) -> int:
     n = abs(graph.alpha[e])
     m = abs(graph.alpha[e ^ 1])
     return n * n * kgb // (gcd(n, kg * m // gcd(m, kgb)) * gcd(m, kgb))
-
-
-def kappa_pair(graph: GbsGraph, spanning: SpanningData, edge):
-    """(kappa_y, kappa_ybar): indices of the edge-group intersection inside
-    each of the two edge-group images."""
-    e = graph.edge_id(edge)
-    return _kappa(graph, e, k_prime_pair(graph, spanning, e))
-
-
-def k_prime_pair(graph: GbsGraph, spanning: SpanningData, edge):
-    """(k'_y, k'_ybar): relative orders of the edge-group intersection in the
-    terminus and origin vertex groups."""
-    e = graph.edge_id(edge)
-    return _k_prime(graph, e, *_edge_ks(graph, spanning, e))
 
 
 def big_N(graph: GbsGraph, spanning: SpanningData, edge) -> int:

@@ -64,12 +64,6 @@ class FormalElement:
     def lam(cls, g: GroupElement, coeff=1) -> "FormalElement":
         return cls({g: coeff})
 
-    def support(self):
-        return list(self.terms.keys())
-
-    def coefficient(self, g: GroupElement):
-        return self.terms.get(g, 0)
-
     @property
     def exact(self) -> bool:
         return all(_exact(c) for c in self.terms.values())
@@ -80,35 +74,11 @@ class FormalElement:
             out[g] = out.get(g, 0) + c
         return FormalElement(out)
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return FormalElement({g: scalar * c for g, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, FormalElement):
-            return FormalElement({g: c * other for g, c in self.terms.items()})
-        out = {}
-        for g, c in self.terms.items():
-            for h, d in other.terms.items():
-                gh = g * h
-                out[gh] = out.get(gh, 0) + c * d
-        return FormalElement(out)
-
     def adjoint(self) -> "FormalElement":
         return FormalElement({g.inverse(): _conj(c) for g, c in self.terms.items()})
 
     def is_selfadjoint(self) -> bool:
         return self.terms == self.adjoint().terms
-
-    def __eq__(self, other):
-        return isinstance(other, FormalElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*lam[{g}]" for g, c in self.terms.items())
 
 
 def restrict_expectation(x: FormalElement, vertex, k: int) -> FormalElement:
@@ -143,30 +113,18 @@ class Ball:
 
     ``index`` maps the canonical item tuple of each element to its ball
     index, in index order, and ``by_length`` maps each edge length to the
-    ball indices of that length, in index order.  ``elements``, the
-    ``GroupElement``s in index order, is built on first access."""
+    ball indices of that length, in index order."""
 
-    __slots__ = ("group", "index", "by_length", "radius", "_elements")
+    __slots__ = ("group", "index", "by_length", "radius")
 
     def __init__(self, group, index, by_length, radius):
         self.group = group
         self.index = index
         self.by_length = by_length
         self.radius = radius
-        self._elements = None
 
     def __len__(self):
         return len(self.index)
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = [GroupElement(self.group, items, _canonical=True)
-                              for items in self.index]
-        return self._elements
-
-    def position(self, g: GroupElement):
-        return self.index.get(g.items)
 
 
 def default_generators(group: GbsGroup):
@@ -421,7 +379,8 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
                             radius: int, seed: int = 42,
                             tol: float = 1e-6) -> DecayTable:
     """Averaging-norm decay: for each m, conjugate f by z_1..z_m and compare
-    the truncated norm of the average against (2/sqrt(m)) ||f||_est."""
+    the truncated norm of the average against (2/sqrt(m)) ||f||_est.  A
+    ball on which f's operator is zero raises OpsimError."""
     group = data.group
     _check_tol(tol)
     _check_seed(seed)
@@ -436,7 +395,11 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
                 "support exceeds the y-length budget L of the conjugators")
 
     ball_ = enumerate_ball(group, None, radius)
-    f_norm, _ = _power_iteration(operator_of(f, ball_).matrix, tol, 10 ** 5, seed)
+    f_op = operator_of(f, ball_).matrix
+    if not f_op.count_nonzero():
+        raise OpsimError(f"f's operator on the radius {radius} ball is zero: "
+                         "every bound would be 0 and check nothing")
+    f_norm, _ = _power_iteration(f_op, tol, 10 ** 5, seed)
     rows = []
     for m in m_values:
         zs = averaging_elements(data, m)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from gbs import wordcore
 from gbs.indices import big_N, vertex_index
+from gbs.tree import MAX_BALL_VERTICES, _check_ball_caps
 from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
                        _seam_depth, _seam_reach, closed_words)
 
@@ -72,6 +73,22 @@ def build_ce2(group: GbsGroup, edge, L: int) -> Ce2Data:
     return Ce2Data(group=group, edge=e, a=a, b=b, t=t, n=n, m=m,
                    N=big_N(graph, group.spanning, e), L=L,
                    z=tuple(islice(_conjugators(a, b, t, L), CE2_COUNT)))
+
+
+def check_search(group: GbsGroup, L: int, word_bound: int,
+                 exponent_bound: int) -> None:
+    """Refuse bounds whose proof ``build_ce2`` and ``verify_pingpong``
+    could not finish, before r1^L is formed or any word enumerated.  The
+    skeletons of g and f are base-type coset keys of the covering-tree
+    ball of radius max(L, word_bound), so that ball must pass ``tree``'s
+    caps (GraphError), and its vertex count times the 2 exponent_bound + 1
+    trailing exponents of each must not pass ``MAX_BALL_VERTICES``."""
+    radius = max(L, word_bound)
+    words = _check_ball_caps(group, radius) * (2 * exponent_bound + 1)
+    if words > MAX_BALL_VERTICES:
+        raise PingPongError(
+            f"radius {radius} ball times {2 * exponent_bound + 1} exponents "
+            f"exceeds the cap of {MAX_BALL_VERTICES} words")
 
 
 def _period(a, b, t):
@@ -462,14 +479,6 @@ def build_theorem_data(group: GbsGroup, edge, g: GroupElement,
                        rp1=rp1, rp2=rp2, w=tuple(w),
                        ly_rp1=rp1.edge_letter_count(e),
                        K1_exponent=k1, K0_exponent=lcm(n_exp, k1))
-
-
-def in_Ui(f: GroupElement, data: TheoremData, i: int) -> bool:
-    """Membership in U'_i: the sign prefix of length i*l_y(r'_1)+2 along the
-    edge matches w_i's."""
-    need = i * data.ly_rp1 + 2
-    window = _head(data.w[i - 1].items[1::2], data.edge, need)
-    return _head(f.items[1::2], data.edge, need) == window
 
 
 def make_negative_control(data: Ce2Data) -> Ce2Data:

@@ -78,10 +78,6 @@ class TreeBall:
         self.depth = {}          # vertex -> (depth, index)
         self.edges = []          # (i, j, edge, residue)
 
-    @property
-    def center(self) -> TreeVertex:
-        return self.vertices[0]
-
     def index(self, v: TreeVertex):
         return self.depth[v][1]
 
@@ -171,10 +167,10 @@ def layer_sizes(group: GbsGroup):
         layer = nxt
 
 
-def _check_ball_caps(group: GbsGroup, radius: int):
-    """Refuse a ball over the caps before any BFS.  A key at depth d has
-    2d + 1 letters, so a line-shaped tree that is cheap in vertices can
-    still be quadratic in letters."""
+def _check_ball_caps(group: GbsGroup, radius: int) -> int:
+    """Refuse a ball over the caps before any BFS; return its vertex count.
+    A key at depth d has 2d + 1 letters, so a line-shaped tree that is
+    cheap in vertices can still be quadratic in letters."""
     vertices = letters = 0
     for d, n in zip(range(radius + 1), layer_sizes(group)):
         vertices += n
@@ -185,6 +181,7 @@ def _check_ball_caps(group: GbsGroup, radius: int):
         if letters > MAX_BALL_KEY_LETTERS:
             raise GraphError(f"radius {radius} ball exceeds the cap of "
                              f"{MAX_BALL_KEY_LETTERS} key letters")
+    return vertices
 
 
 def ball(group: GbsGroup, radius: int) -> TreeBall:
@@ -217,12 +214,11 @@ def moved_vertex(group: GbsGroup, g: GroupElement, max_radius: int):
 
 def _avoiding_geodesics(group: GbsGroup, e: int):
     """Zero-exponent base geodesics through the BFS subtree of the graph
-    without e's pair.  Fails when removing the pair disconnects the graph."""
+    without e's pair; ``stabilizer_cover`` calls it only for an HNN edge,
+    whose removal keeps the graph connected."""
     graph = group.graph
     paths = paths_from(graph, group.base,
                        {x for x in range(graph.n_edges) if x // 2 != e // 2})
-    if len(paths) != graph.n_vertices:
-        raise GraphError(f"removing {graph.edge_name(e)} disconnects the graph")
     return {v: path_items(path) for v, path in paths.items()}
 
 
@@ -233,16 +229,6 @@ def _stable_through(group: GbsGroup, e: int, paths) -> GroupElement:
     items.append(e)
     items.extend(wordcore.inv_items(paths[graph.terminus[e]]))
     return group.element(items)
-
-
-def stable_letter(group: GbsGroup, edge) -> GroupElement:
-    """The element acting as the stable letter of the HNN splitting at a
-    non-separating edge: the edge generator taken through a maximal subtree
-    that avoids the edge pair."""
-    e = group.graph.edge_id(edge)
-    if e not in group.spanning.tree_edges:
-        return group.edge_generator(e)
-    return _stable_through(group, e, _avoiding_geodesics(group, e))
 
 
 def _transporter(group: GbsGroup, paths, vertex: int) -> GroupElement:

@@ -1,6 +1,9 @@
 """Brute-force oracles and word helpers that more than one test module
 uses.  Test modules import from here, not from each other."""
 
+from gbs.pingpong import _head
+from gbs.words import GroupElement
+
 
 def oracle_big_n(group, edge, bound=200):
     """The least j >= 1 with t^2 a^j t^-2 in <b>, by search over j up to
@@ -32,3 +35,17 @@ def insert_pinch(group, items, rng):
     r1 = rng.randint(-5, 5)
     r2 = items[slot] - r1 - graph.alpha[e ^ 1] * s
     return items[:slot] + [r1, e, graph.alpha[e] * s, e ^ 1, r2] + items[slot + 1:]
+
+
+def ball_elements(ball):
+    """The ``GroupElement``s of an ``opsim.Ball``, in index order."""
+    return [GroupElement(ball.group, items, _canonical=True)
+            for items in ball.index]
+
+
+def in_Ui(f, data, i):
+    """Membership in U'_i for ``pingpong.TheoremData``: the sign prefix of
+    length i*l_y(r'_1)+2 along the edge matches w_i's."""
+    need = i * data.ly_rp1 + 2
+    window = _head(data.w[i - 1].items[1::2], data.edge, need)
+    return _head(f.items[1::2], data.edge, need) == window

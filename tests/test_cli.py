@@ -14,9 +14,10 @@ BS23 = str(FIXTURES / "bs23.gbs")
 GBS2 = str(FIXTURES / "gbs2.gbs")
 
 
-def run(*args):
+def run(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "gbs", *args],
-                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV,
+                          timeout=timeout)
 
 
 def test_check(tmp_path):
@@ -171,6 +172,27 @@ def test_exit_codes(tmp_path):
     r = run("normest", BS23, "--edge", "y", "--radius", "40")
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "gbs: radius 40 ball exceeds the cap of 200000 elements\n"
+    # pingpong bounds whose search passes the tree caps are refused before
+    # r1^L or any enumeration; without the cap each ran for over 20 s or
+    # ran out of memory
+    wide = tmp_path / "wide.gbs"
+    wide.write_text(f"vertex P\nedge y : P -> P alpha {'7' * 3000} "
+                    f"{'5' * 3000}\n")
+    for path, big_l, word_bound, exp_bound, message in (
+            (BS23, "30", "1", "1", "radius 30 ball exceeds the cap of "
+             "500000 vertices"),
+            (BS23, "1000000000", "1", "1", "radius 1000000000 ball exceeds "
+             "the cap of 500000 vertices"),
+            (BS23, "1", "30", "1", "radius 30 ball exceeds the cap of "
+             "500000 vertices"),
+            (BS23, "1", "1", "100000000", "radius 1 ball times 200000001 "
+             "exponents exceeds the cap of 500000 words"),
+            (str(wide), "1", "1", "1", "radius 1 ball exceeds the cap of "
+             "500000 vertices")):
+        r = run("pingpong", path, "--edge", "y", "-L", big_l, "--word-bound",
+                word_bound, "--exp-bound", exp_bound, timeout=10)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"gbs: {message}\n"
     r = run("tree", str(tmp_path), "--radius", "1")
     assert r.returncode == 2, r.stdout
     assert "Is a directory" in r.stderr and "Traceback" not in r.stderr
@@ -179,6 +201,32 @@ def test_exit_codes(tmp_path):
     r = run("check", str(binary))
     assert r.returncode == 2, r.stdout
     assert "not UTF-8" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_alpha_past_int_string_limit_exits_2(tmp_path, capsys):
+    huge = tmp_path / "huge.gbs"
+    huge.write_text(f"vertex P\nedge y : P -> P alpha {'1' * 5000} 3\n")
+    assert cli.main(["check", str(huge)]) == 2
+    assert capsys.readouterr() == ("", "gbs: line 2: alpha too long\n")
+
+
+def test_result_past_int_string_limit_exits_2(capsys):
+    """A result whose integer has more digits than Python prints: 3^20000
+    in a modular value, 3^10000 as an exponent of a reduced word."""
+    for argv in (["modular", BS23, "g[y]^20000"],
+                 ["reduce", BS23, f"g[y]^-10000*a[P]^{2 ** 10000}*g[y]^10000"]):
+        assert cli.main(argv) == 2, argv[0]
+        assert capsys.readouterr() == (
+            "", "gbs: result has an integer too long to print\n")
+
+
+def test_normest_refuses_ball_blind_to_f(capsys):
+    """At radius 1 on BS(2,3) f's operator is zero, so every bound would
+    be 0 and the table would check nothing."""
+    assert cli.main(["normest", BS23, "--edge", "y", "--radius", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "gbs: f's operator on the radius 1 ball is zero: every bound "
+        "would be 0 and check nothing\n")
 
 
 def test_parser_reuse_matches_fresh_runs(capsys):

@@ -12,7 +12,7 @@ from gbs.graphs import (Decomposition, GraphError, SpanningData,
                         compute_spanning_tree, decompose, paths_from,
                         parse_graph)
 from gbs import indices
-from gbs.indices import (TheoremVerdict, big_N, check_theorem, kappa_pair,
+from gbs.indices import (TheoremVerdict, big_N, check_theorem, index_report,
                          modular_value)
 from gbs.words import GbsGroup, closed_words, random_closed_word
 
@@ -163,8 +163,9 @@ def test_check_theorem_matches_kappa_pairs():
     for _, graph, spanning in _graphs():
         non_tree = [e for e in range(0, graph.n_edges, 2)
                     if e not in spanning.tree_edges]
+        kappa = index_report(graph, spanning).kappa
         mismatched = [graph.edge_name(e) for e in non_tree
-                      if len(set(kappa_pair(graph, spanning, e))) == 2]
+                      if len(set(kappa[graph.edge_name(e)])) == 2]
         verdict = check_theorem(graph, spanning)
         assert verdict == TheoremVerdict(
             not_a_tree=bool(non_tree),
@@ -185,9 +186,10 @@ def test_kappa_ratio_is_modular_value():
     for _ in range(2000):
         group = GbsGroup.from_text(random_graph_text(rng))
         graph, spanning = group.graph, group.spanning
+        kappa = index_report(graph, spanning).kappa
         for e in range(0, graph.n_edges, 2):
             if e not in spanning.tree_edges:
-                ky, kyb = kappa_pair(graph, spanning, e)
+                ky, kyb = kappa[graph.edge_name(e)]
                 assert Fraction(ky, kyb) == abs(
                     modular_value(group.edge_generator(e))), graph.edge_name(e)
                 edges += 1
@@ -204,22 +206,14 @@ def test_k_prime_mutant_breaks_the_ratio(monkeypatch):
     for _ in range(200):
         group = GbsGroup.from_text(random_graph_text(rng))
         graph, spanning = group.graph, group.spanning
+        kappa = index_report(graph, spanning).kappa
         for e in range(0, graph.n_edges, 2):
             if e not in spanning.tree_edges:
-                ky, kyb = kappa_pair(graph, spanning, e)
+                ky, kyb = kappa[graph.edge_name(e)]
                 if Fraction(ky, kyb) != abs(
                         modular_value(group.edge_generator(e))):
                     return
     pytest.fail("no graph tells the mutant apart")
-
-
-def test_reversed_kappa_pair_is_swapped():
-    """kappa of ~y is kappa of y swapped, on every edge: build_ce2 reads
-    either direction's equality test off the declared one."""
-    for _, graph, spanning in _graphs():
-        for e in range(0, graph.n_edges, 2):
-            ky, kyb = kappa_pair(graph, spanning, e)
-            assert kappa_pair(graph, spanning, e ^ 1) == (kyb, ky)
 
 
 def test_big_n_matches_oracle_on_random_graphs():

@@ -21,13 +21,13 @@ def oracle_relative_order(group, source_vertex, target_vertex, bound=1000):
 
 
 def test_geodesic_k_empty_path(bs23):
-    assert indices.geodesic_k(bs23.graph, bs23.spanning, []) == 1
+    assert indices._index_along(bs23.graph.alpha, []) == 1
 
 
 def test_geodesic_k_gbs2(gbs2):
     w = gbs2.graph.edge_id("w")
-    assert indices.geodesic_k(gbs2.graph, gbs2.spanning, [w]) == 2
-    assert indices.geodesic_k(gbs2.graph, gbs2.spanning, [w ^ 1]) == 3
+    assert indices._index_along(gbs2.graph.alpha, [w]) == 2
+    assert indices._index_along(gbs2.graph.alpha, [w ^ 1]) == 3
     # oracle: [G_Q : G_Q cap G_P] and the reverse
     assert oracle_relative_order(gbs2, "Q", "P") == 2
     assert oracle_relative_order(gbs2, "P", "Q") == 3
@@ -37,21 +37,8 @@ def test_geodesic_k_two_step_chain(chain3):
     g = chain3.graph
     path = [g.edge_id("w1"), g.edge_id("w2")]
     # k_1 = m_1 = 2; k_2 = 2*3/gcd(2, 2) = 3
-    assert indices.geodesic_k(g, chain3.spanning, path) == 3
+    assert indices._index_along(g.alpha, path) == 3
     assert oracle_relative_order(chain3, "R", "P") == 3
-
-
-def test_geodesic_k_rejects_non_tree(bs23):
-    with pytest.raises(GraphError):
-        indices.geodesic_k(bs23.graph, bs23.spanning, [0])
-
-
-def test_geodesic_k_rejects_broken_path(chain3):
-    g = chain3.graph
-    w1, w2 = g.edge_id("w1"), g.edge_id("w2")
-    for path in ([w1, w1], [w2, w1], [w1 ^ 1, w2]):
-        with pytest.raises(GraphError, match="edges do not form a path"):
-            indices.geodesic_k(g, chain3.spanning, path)
 
 
 def test_geodesic_k_matches_oracle_on_all_tree_paths(gbs2, chain3):
@@ -60,7 +47,7 @@ def test_geodesic_k_matches_oracle_on_all_tree_paths(gbs2, chain3):
         for p in range(g.n_vertices):
             for q in range(g.n_vertices):
                 path = paths_from(g, p, group.spanning.tree_edges)[q]
-                k = indices.geodesic_k(g, group.spanning, path)
+                k = indices._index_along(g.alpha, path)
                 assert k == oracle_relative_order(
                     group, g.vertices[q] if path else g.vertices[p],
                     g.vertices[p])
@@ -90,18 +77,19 @@ def oracle_kappa(group, edge):
 
 
 def test_kappa_examples(bs23, gbs2):
-    assert indices.kappa_pair(bs23.graph, bs23.spanning, "y") == (2, 3)
+    assert indices.index_report(bs23.graph, bs23.spanning).kappa["y"] == (2, 3)
     g22, s22 = parse_graph(bs_text(2, 2))
-    assert indices.kappa_pair(g22, s22, "y") == (1, 1)
-    assert indices.kappa_pair(gbs2.graph, gbs2.spanning, "y") == (5, 6)
-    assert indices.k_prime_pair(gbs2.graph, gbs2.spanning, "y") == (20, 30)
+    assert indices.index_report(g22, s22).kappa["y"] == (1, 1)
+    report = indices.index_report(gbs2.graph, gbs2.spanning)
+    assert report.kappa["y"] == (5, 6)
+    assert report.k_prime["y"] == (20, 30)
 
 
 def test_kappa_matches_oracle_everywhere(bs23, gbs2, chain3, two_vertex):
     for group in (bs23, gbs2, chain3, two_vertex):
-        for i, name in enumerate(group.graph.edge_names):
-            got = indices.kappa_pair(group.graph, group.spanning, name)
-            assert got == oracle_kappa(group, name)
+        kappa = indices.index_report(group.graph, group.spanning).kappa
+        for name in group.graph.edge_names:
+            assert kappa[name] == oracle_kappa(group, name)
 
 
 def test_big_n_pinned_values(bs23):

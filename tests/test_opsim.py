@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from conftest import BS23_TEXT
+from oracles import ball_elements
 from gbs import opsim, pingpong, wordcore
 from gbs.words import (GbsGroup, GroupElement, WordError,
                        random_closed_word)
@@ -20,15 +21,10 @@ def test_formal_algebra(bs23):
     a = bs23.vertex_generator("P")
     t = bs23.edge_generator("y")
     x = lam(a) + lam(t)
-    assert x.coefficient(a) == 1 and x.coefficient(t) == 1
-    assert (x - x).terms == {}
-    y = Fraction(1, 2) * x
-    assert y.coefficient(a) == Fraction(1, 2)
-    assert y.exact
-    z = x * x
-    assert z.coefficient(a * a) == 1
-    assert z.coefficient(a * t) == 1
-    assert z.coefficient(t * a) == 1
+    assert x.terms == {a: 1, t: 1}
+    assert (x + lam(a, -1) + lam(t, -1)).terms == {}
+    assert (x + lam(a, Fraction(-1, 2))).terms == {a: Fraction(1, 2), t: 1}
+    assert lam(a, Fraction(1, 2)).exact
 
 
 def test_adjoint_and_selfadjointness(bs23):
@@ -36,22 +32,7 @@ def test_adjoint_and_selfadjointness(bs23):
     f = lam(t) + lam(t.inverse())
     assert f.is_selfadjoint()
     assert not lam(t).is_selfadjoint()
-    assert lam(t).adjoint() == lam(t.inverse())
-
-
-def test_positivity_diagonal(bs23):
-    rng = random.Random(73)
-    for _ in range(20):
-        y = opsim.FormalElement(
-            {random_closed_word(bs23, rng, 3, 3): rng.randint(-3, 3)
-             for _ in range(3)})
-        x = y.adjoint() * y
-        assert x.is_selfadjoint()
-        e_coeff = x.coefficient(bs23.identity())
-        assert e_coeff == sum(c * c for c in y.terms.values())
-        assert e_coeff >= 0
-        assert opsim.restrict_expectation(
-            x, "P", 1).coefficient(bs23.identity()) == e_coeff
+    assert lam(t).adjoint().terms == lam(t.inverse()).terms
 
 
 def test_enumerate_ball(bs23):
@@ -60,7 +41,7 @@ def test_enumerate_ball(bs23):
     with pytest.raises(opsim.OpsimError, match="radius must be nonnegative"):
         opsim.enumerate_ball(bs23, None, -1)
     b1 = opsim.enumerate_ball(bs23, None, 1)
-    assert [str(g) for g in b1.elements] == \
+    assert [str(g) for g in ball_elements(b1)] == \
         ["1", "a[P]", "a[P]^-1", "g[y]", "g[~y]"]
     # radius 2 matches a hash-set oracle over reduced 2-letter products
     b2 = opsim.enumerate_ball(bs23, None, 2)
@@ -70,7 +51,7 @@ def test_enumerate_ball(bs23):
         oracle.add(g.items)
         for h in gens:
             oracle.add((g * h).items)
-    assert {g.items for g in b2.elements} == oracle
+    assert set(b2.index) == oracle
 
 
 def test_lambda_operator(bs23):
@@ -84,9 +65,9 @@ def test_lambda_operator(bs23):
     assert all(c <= 1 for c in np.asarray(la.matrix.sum(axis=0)).ravel())
     assert all(c <= 1 for c in np.asarray(la.matrix.sum(axis=1)).ravel())
     # maps e -> a and a^-1 -> e
-    i_e = b1.position(bs23.identity())
-    i_a = b1.position(a)
-    i_ainv = b1.position(a.inverse())
+    i_e = b1.index[bs23.identity().items]
+    i_a = b1.index[a.items]
+    i_ainv = b1.index[a.inverse().items]
     assert la.matrix[i_a, i_e] == 1
     assert la.matrix[i_e, i_ainv] == 1
 
@@ -119,16 +100,17 @@ def test_restrict_expectation(bs23):
     a = bs23.vertex_generator("P")
     t = bs23.edge_generator("y")
     x = lam(a) + lam(t)
-    assert opsim.restrict_expectation(x, "P", 1) == lam(a)
-    assert opsim.restrict_expectation(lam(bs23.identity()), "P", 1) == \
-        lam(bs23.identity())
+    assert opsim.restrict_expectation(x, "P", 1).terms == {a: 1}
+    assert opsim.restrict_expectation(lam(bs23.identity()), "P", 1).terms \
+        == {bs23.identity(): 1}
     assert opsim.restrict_expectation(lam(a ** 3), "P", 9).terms == {}
     # idempotent and linear
     e1 = opsim.restrict_expectation(x, "P", 2)
-    assert opsim.restrict_expectation(e1, "P", 2) == e1
+    assert opsim.restrict_expectation(e1, "P", 2).terms == e1.terms
     y = lam(a ** 2, Fraction(3, 2)) + lam(t, -1)
-    assert opsim.restrict_expectation(x + y, "P", 2) == \
-        opsim.restrict_expectation(x, "P", 2) + opsim.restrict_expectation(y, "P", 2)
+    assert opsim.restrict_expectation(x + y, "P", 2).terms == (
+        opsim.restrict_expectation(x, "P", 2)
+        + opsim.restrict_expectation(y, "P", 2)).terms
 
 
 def test_restriction_composition_law(bs23):
@@ -141,14 +123,14 @@ def test_restriction_composition_law(bs23):
              Fraction(rng.randint(-5, 5)) for _ in range(6)})
         via = opsim.restrict_expectation(
             opsim.restrict_expectation(x, "P", n_exp), "P", k1_exp)
-        assert via == opsim.restrict_expectation(x, "P", both)
+        assert via.terms == opsim.restrict_expectation(x, "P", both).terms
 
 
 def test_average_conjugates(bs23):
     a = bs23.vertex_generator("P")
     x = lam(a)
-    assert opsim.average_conjugates(x, [bs23.identity()]) == x
-    assert opsim.average_conjugates(x, [a]) == x
+    assert opsim.average_conjugates(x, [bs23.identity()]).terms == x.terms
+    assert opsim.average_conjugates(x, [a]).terms == x.terms
     with pytest.raises(opsim.OpsimError):
         opsim.average_conjugates(x, [])
     data = pingpong.build_ce2(bs23, "y", 2)
@@ -165,8 +147,8 @@ def _brute_force_operator(x, ball):
     """One product and one lookup per (term, ball element) pair."""
     rows, cols, vals = [], [], []
     for g, c in x.terms.items():
-        for j, el in enumerate(ball.elements):
-            i = ball.position(g * el)
+        for j, el in enumerate(ball_elements(ball)):
+            i = ball.index.get((g * el).items)
             if i is not None:
                 rows.append(i)
                 cols.append(j)
@@ -180,7 +162,7 @@ def _supports(group, ball, edge, rng):
     (when the fixture has a non-tree edge), boundary terms y x^-1 with
     edge_len(y) at the ball's top edge length, and g, g^-1 at unequal
     coefficients beside a term without its inverse and the identity."""
-    wide = opsim.enumerate_ball(group, None, ball.radius + 2).elements
+    wide = ball_elements(opsim.enumerate_ball(group, None, ball.radius + 2))
     yield opsim.FormalElement(
         {rng.choice(wide) * rng.choice(wide): Fraction(rng.randint(1, 5), 3)
          for _ in range(40)})
@@ -195,8 +177,9 @@ def _supports(group, ball, edge, rng):
             yield opsim.average_conjugates(
                 f, pingpong.averaging_elements(data, m))
     top = max(ball.by_length)
-    tops = [ball.elements[i] for i in ball.by_length[top]]
-    inner = [el for el in ball.elements if el.edge_length >= 1]
+    elements = ball_elements(ball)
+    tops = [elements[i] for i in ball.by_length[top]]
+    inner = [el for el in elements if el.edge_length >= 1]
     yield opsim.FormalElement(
         {rng.choice(tops) * rng.choice(inner).inverse(): -1.5
          for _ in range(40)})
@@ -215,8 +198,9 @@ def _supports(group, ball, edge, rng):
 def test_operator_of_matches_brute_force(request, name, radius, edge):
     group = request.getfixturevalue(name)
     ball = opsim.enumerate_ball(group, None, radius)
+    elements = ball_elements(ball)
     top = max(ball.by_length)
-    assert top == max(el.edge_length for el in ball.elements)
+    assert top == max(el.edge_length for el in elements)
     rng = random.Random(radius)
     skipped = visited = at_bound = 0
     for x in _supports(group, ball, edge, rng):
@@ -226,13 +210,13 @@ def test_operator_of_matches_brute_force(request, name, radius, edge):
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
         for g in x.terms:
-            for el in ball.elements:
+            for el in elements:
                 gap = abs(g.edge_length - el.edge_length)
                 if gap > top:
                     skipped += 1
                 else:
                     visited += 1
-                    if gap == top and ball.position(g * el) is not None:
+                    if gap == top and (g * el).items in ball.index:
                         at_bound += 1
     assert skipped and visited and at_bound
 
@@ -260,8 +244,7 @@ def test_enumerate_ball_matches_plain_bfs(request, name, radius):
     gens = opsim.default_generators(group)
     for r in range(radius + 1):
         ball = opsim.enumerate_ball(group, None, r)
-        assert [g.items for g in ball.elements] == \
-            _plain_ball(group, gens, r)
+        assert list(ball.index) == _plain_ball(group, gens, r)
 
 
 def test_enumerate_ball_odd_generator_lists(bs23):
@@ -271,8 +254,7 @@ def test_enumerate_ball_odd_generator_lists(bs23):
                  [bs23.identity(), t, a, t.inverse()]):
         for r in range(5):
             ball = opsim.enumerate_ball(bs23, gens, r)
-            assert [g.items for g in ball.elements] == \
-                _plain_ball(bs23, gens, r)
+            assert list(ball.index) == _plain_ball(bs23, gens, r)
 
 
 @pytest.mark.parametrize("name, radius, ball_mul, f_mul", [
@@ -458,11 +440,11 @@ def _longest_run(g, ball):
     """Longest run x, g x, g^2 x, ... inside the ball."""
     ginv = g.inverse()
     longest = 0
-    for x in ball.elements:
-        if ball.position(ginv * x) is not None:
+    for x in ball_elements(ball):
+        if (ginv * x).items in ball.index:
             continue
         length, y = 0, x
-        while ball.position(y) is not None:
+        while y.items in ball.index:
             length += 1
             y = g * y
         longest = max(longest, length)

@@ -12,6 +12,7 @@ from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
                        random_closed_word)
 
 from conftest import bs_text, kernel_conjugate, random_graph_text
+from oracles import in_Ui
 
 
 @pytest.fixture(scope="module")
@@ -806,14 +807,14 @@ def test_u_sets_disjoint(bs23, theorem_bs23):
     found = 0
     for _ in range(400):
         f = random_closed_word(bs23, rng, 12, 4)
-        hits = [i for i in range(1, 5) if pingpong.in_Ui(f, td, i)]
+        hits = [i for i in range(1, 5) if in_Ui(f, td, i)]
         assert len(hits) <= 1
         found += bool(hits)
     for i in range(1, 5):
-        assert pingpong.in_Ui(td.w[i - 1], td, i)
+        assert in_Ui(td.w[i - 1], td, i)
         for k in range(1, 5):
             if k != i:
-                assert not pingpong.in_Ui(td.w[i - 1], td, k)
+                assert not in_Ui(td.w[i - 1], td, k)
 
 
 def test_w_conjugation_contract(bs23, theorem_bs23):
@@ -832,6 +833,6 @@ def test_w_conjugation_contract(bs23, theorem_bs23):
             core = w * a ** exp * w.inverse()
             for _ in range(25):
                 f = random_closed_word(bs23, rng, 4, 4, nontrivial=False)
-                if pingpong.in_Ui(f, td, i):
+                if in_Ui(f, td, i):
                     continue
-                assert pingpong.in_Ui(core * f, td, i)
+                assert in_Ui(core * f, td, i)

@@ -18,7 +18,7 @@ from conftest import bs_text
 def test_ball_radius_zero(bs23):
     b = tree.ball(bs23, 0)
     assert len(b.vertices) == 1
-    assert b.center == tree.base_vertex(bs23)
+    assert b.vertices[0] == tree.base_vertex(bs23)
     with pytest.raises(GraphError, match="radius must be nonnegative"):
         tree.ball(bs23, -1)
 
@@ -26,14 +26,14 @@ def test_ball_radius_zero(bs23):
 def test_ball_sizes_bs23(bs23):
     b = tree.ball(bs23, 1)
     assert len(b.vertices) == 6
-    assert b.degree(b.center) == 5
+    assert b.degree(b.vertices[0]) == 5
     b3 = tree.ball(bs23, 3)
     assert len(b3.vertices) == 1 + 5 + 20 + 80
 
 
 def test_gbs2_center_degree(gbs2):
     b = tree.ball(gbs2, 1)
-    assert b.degree(b.center) == 3 + 5     # |alpha(~w)| + |alpha(~y)|
+    assert b.degree(b.vertices[0]) == 3 + 5     # |alpha(~w)| + |alpha(~y)|
 
 
 def _tree_counts(group, radius):
@@ -224,20 +224,6 @@ def test_faithfulness_random_words(bs23, gbs2):
             g = random_closed_word(group, rng, 6, 8)
             _, d = tree.moved_vertex(group, g, 2 * g.edge_length + 2)
             assert d <= 2 * g.edge_length + 2
-
-
-def test_stable_letter_tree_edge(gbs2):
-    # stable letter of the splitting at w goes through the subtree {y}
-    s = tree.stable_letter(gbs2, "w")
-    t = gbs2.edge_generator("y")
-    assert s == t.inverse()
-    # non-tree edges use their own generator
-    assert tree.stable_letter(gbs2, "y") == t
-
-
-def test_stable_letter_rejects_separating_edge(chain3):
-    with pytest.raises(GraphError, match="removing w1 disconnects the graph"):
-        tree.stable_letter(chain3, "w1")
 
 
 def _joint_stabilizer_implies(group, cover, target, words):
