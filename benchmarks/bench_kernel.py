@@ -6,7 +6,9 @@ Two workloads mirror the package's hot paths:
 * canon: full canonicalization of random raw words (building elements
   from raw words);
 * product: seam multiplication of a long canonical word by short ones
-  (the step g * s of the ball enumeration).
+  (the step g * s of the ball enumeration by a generator with an edge
+  letter; steps by powers of the base generator shift the trailing
+  exponent without a product).
 
 Usage: python benchmarks/bench_kernel.py [--words N] [--repeat K]
 """

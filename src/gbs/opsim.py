@@ -24,9 +24,14 @@ from gbs.words import GbsGroup, GroupElement, WordError
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-# Cap on one ``enumerate_ball``: each element is an item tuple and a dict
-# entry, a few hundred bytes, and operator assembly visits every one.
+# Cap on one ``enumerate_ball``: each element is a fiber entry, at most with
+# a skeleton tuple of its own, a few hundred bytes, and operator assembly
+# visits every one.
 MAX_BALL_ELEMENTS = 200_000
+# Cap on the edge letters of z_1 .. z_m in ``powers_decay_experiment``:
+# each letter costs about a hundred bytes in the conjugators and in the
+# averaged terms z f z^-1.
+MAX_CONJUGATOR_LETTERS = 500_000
 
 
 class OpsimError(ValueError):
@@ -109,22 +114,38 @@ def average_conjugates(x: FormalElement, conjugators) -> FormalElement:
 
 
 class Ball:
-    """Deterministic BFS closure of products of few generators.
+    """Deterministic BFS closure of products of few generators, fibered over
+    the cosets x<a> of the base generator a.
 
-    ``index`` maps the canonical item tuple of each element to its ball
-    index, in index order, and ``by_length`` maps each edge length to the
-    ball indices of that length, in index order."""
+    A canonical element x is s a^k: its skeleton s is its items less the
+    trailing exponent k.  ``fibers`` maps each skeleton to a dict from
+    trailing exponent to ball index, and ``by_length`` maps each edge
+    length to the skeletons of that length, in order of first appearance.
+    ``index``, built on first use, maps the canonical item tuple of each
+    element to its ball index, in index order."""
 
-    __slots__ = ("group", "index", "by_length", "radius")
+    __slots__ = ("group", "fibers", "by_length", "radius", "size", "_index")
 
-    def __init__(self, group, index, by_length, radius):
+    def __init__(self, group, fibers, by_length, radius, size):
         self.group = group
-        self.index = index
+        self.fibers = fibers
         self.by_length = by_length
         self.radius = radius
+        self.size = size
+        self._index = None
 
     def __len__(self):
-        return len(self.index)
+        return self.size
+
+    @property
+    def index(self):
+        if self._index is None:
+            items = [None] * self.size
+            for s, fiber in self.fibers.items():
+                for k, i in fiber.items():
+                    items[i] = (*s, k)
+            self._index = {x: i for i, x in enumerate(items)}
+        return self._index
 
 
 def default_generators(group: GbsGroup):
@@ -149,15 +170,18 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
     """Breadth-first ball: from each frontier element g, in order, append
     every new g s for the generators s in list order.
 
-    The walk runs on canonical item lists through the kernel's product; each
-    new element's one hash is its insert into the ball's index.  An element
-    reached by the step s keeps the index of s^-1 in the list (the first
-    one, or None when s^-1 is not listed), and that one product is not
-    formed from it: it only leads back to the parent, which is already seen.
-    The elements and their order are those of the plain BFS.  Every
-    generator must belong to ``group`` (WordError otherwise).  Before each
-    layer, a ball that could pass ``MAX_BALL_ELEMENTS``, its size plus one
-    element per frontier element and generator, raises OpsimError."""
+    A generator whose items are one exponent r (a power of the base
+    generator a) moves g = s a^k to s a^(k + r): that step is an integer
+    shift within g's fiber, with no kernel call.  Every other step is the
+    kernel's product of canonical item lists, split into skeleton and
+    trailing exponent.  An element reached by the step s keeps the index
+    of s^-1 in the list (the first one, or None when s^-1 is not listed),
+    and that step is not taken from it: it only leads back to the parent,
+    which is already seen.  The elements and their order are those of the
+    plain BFS.  Every generator must belong to ``group`` (WordError
+    otherwise).  Before each layer, a ball that could pass
+    ``MAX_BALL_ELEMENTS``, its size plus one element per frontier element
+    and generator, raises OpsimError."""
     if generators is None:
         generators = default_generators(group)
     generators = list(generators)
@@ -168,31 +192,47 @@ def enumerate_ball(group: GbsGroup, generators=None, radius: int = 0) -> Ball:
         _check_group(s, group)
         first.setdefault(s.items, k)
     undo = [first.get(s.inverse().items) for s in generators]
-    steps = [list(s.items) for s in generators]
+    # (n, shift, None, undo) for a power of a, (n, None, items, undo) for
+    # a kernel step
+    steps = [(n, s.items[0], None, undo[n]) if len(s.items) == 1
+             else (n, None, list(s.items), undo[n])
+             for n, s in enumerate(generators)]
     alpha = group.graph.alpha
     mul = wordcore.mul_items
-    identity = group.identity().items
-    index = {identity: 0}
-    by_length = {0: [0]}
-    frontier = [(list(identity), None)]
+    fibers = {(): {0: 0}}
+    by_length = {0: [()]}
+    size = 1
+    frontier = [((), 0, None)]
     for _ in range(radius):
-        if len(index) + len(frontier) * len(steps) > MAX_BALL_ELEMENTS:
+        if size + len(frontier) * len(steps) > MAX_BALL_ELEMENTS:
             raise OpsimError(f"radius {radius} ball exceeds the cap of "
                              f"{MAX_BALL_ELEMENTS} elements")
         new = []
-        for g, back in frontier:
-            for k, s in enumerate(steps):
-                if k == back:
+        for s, k, back in frontier:
+            fiber = fibers[s]
+            g = None
+            for n, shift, items, up in steps:
+                if n == back:
                     continue
-                h = mul(g, s, alpha)
-                n = len(index)
-                if index.setdefault(tuple(h), n) == n:
-                    by_length.setdefault(len(h) // 2, []).append(n)
-                    new.append((h, undo[k]))
+                if shift is not None:
+                    hs, hk, target = s, k + shift, fiber
+                else:
+                    if g is None:
+                        g = [*s, k]
+                    h = mul(g, items, alpha)
+                    hk = h.pop()
+                    hs = tuple(h)
+                    target = fibers.get(hs)
+                    if target is None:
+                        target = fibers[hs] = {}
+                        by_length.setdefault(len(hs) // 2, []).append(hs)
+                if target.setdefault(hk, size) == size:
+                    size += 1
+                    new.append((hs, hk, up))
         frontier = new
         if not frontier:
             break
-    return Ball(group, index, by_length, radius)
+    return Ball(group, fibers, by_length, radius, size)
 
 
 class BallOperator(NamedTuple):
@@ -201,22 +241,28 @@ class BallOperator(NamedTuple):
 
 def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     """Sum of coefficient-weighted translation operators; for lam(g) the
-    partial permutation x -> g x on the ball.  Each product is the kernel's,
-    of the items of g and of x, looked up in ``ball.index``; no
-    ``GroupElement`` is formed.  Every term must belong to the ball's
-    group (WordError otherwise).
+    partial permutation x -> g x on the ball.  Products are the kernel's,
+    of the items of g and of a skeleton; no ``GroupElement`` is formed.
+    Every term must belong to the ball's group (WordError otherwise).
 
     Coefficients must be real (OpsimError otherwise): the norm solver
     multiplies by M^T, which is the adjoint of M only for a real M.
 
+    lam(g) commutes with right translation by the base generator a, and
+    the kernel's product uses the right factor's trailing exponent only by
+    adding it to the result's: g (s a^k) is (g s) a^k.  So one product
+    g s per skeleton s maps its whole fiber, each s a^k to the element of
+    trailing exponent k more in the fiber of g s's skeleton, by integer
+    lookups.
+
     A product of canonical words cancels only at the seam (Britton's lemma),
     so edge_len(g x) >= |edge_len(g) - edge_len(x)|.  When that gap exceeds
     the largest edge length in the ball, g x has no position in the ball, and
-    the pair is skipped without forming the product.
+    the skeleton is skipped without forming the product.
 
     For x_i, x_j in the ball, g x_j = x_i exactly when g^-1 x_i = x_j, so on
     every ball the matrix of lam(g^-1) is the transpose of that of lam(g).
-    One product g x_j therefore serves the pair {g, g^-1}: it puts c_g at
+    One product g s therefore serves the pair {g, g^-1}: it puts c_g at
     (i, j) and, when g^-1 is another term, c_{g^-1} at (j, i); g^-1 has g's
     edge length, so the gap skips both alike.  No two terms share a slot
     (g x = h x implies g = h), so nothing is summed.
@@ -231,14 +277,13 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
     top = max(ball.by_length, default=0)
     alpha = ball.group.graph.alpha
     mul = wordcore.mul_items
-    index = ball.index
-    ball_items = list(index)
+    fibers = ball.fibers
     rows, cols, vals = [], [], []
     paired = set()
     for g, c in x.terms.items():
         if g.items in paired:
             continue
-        near = [js for length, js in ball.by_length.items()
+        near = [skeletons for length, skeletons in ball.by_length.items()
                 if abs(g.edge_length - length) <= top]
         if not near:
             continue
@@ -249,17 +294,23 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
             cinv = float(cinv)
         fc = float(c)
         gl = list(g.items)
-        for js in near:
-            for j in js:
-                i = index.get(tuple(mul(gl, list(ball_items[j]), alpha)))
-                if i is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(fc)
-                    if cinv is not None:
-                        rows.append(j)
-                        cols.append(i)
-                        vals.append(cinv)
+        for skeletons in near:
+            for s in skeletons:
+                h = mul(gl, [*s, 0], alpha)
+                shift = h.pop()
+                target = fibers.get(tuple(h))
+                if target is None:
+                    continue
+                for k, j in fibers[s].items():
+                    i = target.get(k + shift)
+                    if i is not None:
+                        rows.append(i)
+                        cols.append(j)
+                        vals.append(fc)
+                        if cinv is not None:
+                            rows.append(j)
+                            cols.append(i)
+                            vals.append(cinv)
     n = len(ball)
     mat = csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
     return BallOperator(mat)
@@ -380,7 +431,11 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
                             tol: float = 1e-6) -> DecayTable:
     """Averaging-norm decay: for each m, conjugate f by z_1..z_m and compare
     the truncated norm of the average against (2/sqrt(m)) ||f||_est.  A
-    ball on which f's operator is zero raises OpsimError."""
+    ball on which f's operator is zero raises OpsimError, and so does an m
+    whose conjugators pass ``MAX_CONJUGATOR_LETTERS``, before the ball is
+    built or ``averaging_elements`` called: z_j = r1^(j-1) z_1 has no
+    cancellation, so z_1 .. z_m have m len(z_1) + len(r1) m (m - 1) / 2
+    letters."""
     group = data.group
     _check_tol(tol)
     _check_seed(seed)
@@ -393,6 +448,14 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
         if g.edge_letter_count(data.edge) > data.L:
             raise OpsimError(
                 "support exceeds the y-length budget L of the conjugators")
+    m_values = list(m_values)
+    top = max(m_values, default=0)
+    first = data.z[0].edge_length
+    step = data.z[1].edge_length - first            # len(r1)
+    letters = top * first + step * top * (top - 1) // 2
+    if letters > MAX_CONJUGATOR_LETTERS:
+        raise OpsimError(f"m = {top} conjugators have {letters} letters, past "
+                         f"the cap of {MAX_CONJUGATOR_LETTERS}")
 
     ball_ = enumerate_ball(group, None, radius)
     f_op = operator_of(f, ball_).matrix

@@ -321,6 +321,36 @@ def test_normest_nonconvergence_exits_3(monkeypatch, capsys):
     assert err.startswith("gbs: no convergence after 100000 iterations")
 
 
+def test_normest_m_past_the_letter_cap_exits_2(monkeypatch, capsys):
+    """z_1 .. z_m have m len(z_1) + len(r1) m (m - 1) / 2 letters (10 and 2
+    on BS(2,3)): --m 100000 needs 10,000,900,000 and exits 2 before the
+    ball is built or averaging_elements forms a conjugator.  The check
+    can fail both ways: m = 4 takes 52 letters, at a cap of 52 it runs
+    and at 51 it is refused."""
+    from gbs import cli, opsim
+
+    def never(*args):
+        raise AssertionError("formed past the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(opsim, "averaging_elements", never)
+        patch.setattr(opsim, "enumerate_ball", never)
+        code = cli.main(["normest", BS23, "--edge", "y", "--radius", "2",
+                         "--m", "4,100000,9"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("gbs: m = 100000 conjugators have 10000900000 letters, "
+                   "past the cap of 500000\n")
+    argv = ["normest", BS23, "--edge", "y", "--radius", "2", "--m", "4"]
+    monkeypatch.setattr(opsim, "MAX_CONJUGATOR_LETTERS", 52)
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(opsim, "MAX_CONJUGATOR_LETTERS", 51)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == ("gbs: m = 4 conjugators have 52 letters, past the cap "
+                   "of 51\n")
+
+
 def test_pingpong_counterexample_exits_3(monkeypatch, capsys):
     from gbs import cli, pingpong
 

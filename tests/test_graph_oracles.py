@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gbs.graphs import (Decomposition, GraphError, SpanningData,
                         compute_spanning_tree, decompose, paths_from,
                         parse_graph)
-from gbs import indices
+from gbs import indices, wordcore
 from gbs.indices import (TheoremVerdict, big_N, check_theorem, index_report,
                          modular_value)
 from gbs.words import GbsGroup, closed_words, random_closed_word
@@ -296,3 +296,54 @@ def test_word_string_roundtrip_on_random_graphs(rng):
     for _ in range(5):
         g = random_closed_word(group, rng, 4, 6, nontrivial=False)
         assert group.from_string(group.to_string(g)) == g
+
+
+def _trailing_shift_failure(group, rng):
+    """The first of five random draws on which the kernel breaks one of
+    the facts behind ``opsim``'s fibered ball, or None.  For canonical g
+    and x = s a^k (a the base generator, s the skeleton): mul(g, s a^k) is
+    mul(g, s a^0) with k added to the trailing exponent, and mul(x, (r,))
+    is x with r added to it.  Half the g end in x^-1, so that the pinch
+    loop consumes x's edges up to its trailing exponent."""
+    alpha = group.graph.alpha
+    mul = wordcore.mul_items
+    for _ in range(5):
+        x = random_closed_word(group, rng, 4, 12, nontrivial=False)
+        g = random_closed_word(group, rng, 4, 12, nontrivial=False)
+        if rng.random() < 0.5:
+            g = g * x.inverse()
+        s, k, r = list(x.items[:-1]), x.items[-1], rng.randint(-40, 40)
+        h = mul(list(g.items), s + [0], alpha)
+        if mul(list(g.items), s + [k], alpha) != h[:-1] + [h[-1] + k]:
+            return "left", g, x
+        if mul(list(x.items), [r], alpha) != s + [k + r]:
+            return "right", x, r
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_products_shift_the_trailing_exponent(rng):
+    group = GbsGroup.from_text(random_graph_text(rng))
+    assert group.vertex_generator(group.base).items == (1,)
+    assert _trailing_shift_failure(group, rng) is None
+
+
+def test_trailing_shift_catches_a_kernel_that_reads_it(monkeypatch):
+    """The property can fail: a kernel that sweeps b's trailing exponent
+    into [0, |alpha(bar e)|), e b's last edge, like the exponents before
+    edges, breaks it on some seeded graph."""
+    real = wordcore.mul_items
+
+    def mutant(a, b, alpha):
+        if len(b) > 1:
+            b = b[:-1] + [b[-1] % abs(alpha[b[-2] ^ 1])]
+        return real(a, b, alpha)
+
+    monkeypatch.setattr(wordcore, "mul_items", mutant)
+    rng = random.Random(0)
+    for _ in range(50):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        if _trailing_shift_failure(group, rng) is not None:
+            return
+    pytest.fail("no graph tells the mutant apart")

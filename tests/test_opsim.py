@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from conftest import BS23_TEXT
+from conftest import BS23_TEXT, random_graph_text
 from oracles import ball_elements
 from gbs import opsim, pingpong, wordcore
 from gbs.words import (GbsGroup, GroupElement, WordError,
@@ -178,7 +178,8 @@ def _supports(group, ball, edge, rng):
                 f, pingpong.averaging_elements(data, m))
     top = max(ball.by_length)
     elements = ball_elements(ball)
-    tops = [elements[i] for i in ball.by_length[top]]
+    tops = [elements[i] for i in sorted(
+        i for s in ball.by_length[top] for i in ball.fibers[s].values())]
     inner = [el for el in elements if el.edge_length >= 1]
     yield opsim.FormalElement(
         {rng.choice(tops) * rng.choice(inner).inverse(): -1.5
@@ -257,14 +258,35 @@ def test_enumerate_ball_odd_generator_lists(bs23):
             assert list(ball.index) == _plain_ball(bs23, gens, r)
 
 
-@pytest.mark.parametrize("name, radius, ball_mul, f_mul", [
-    ("bs23", 8, 7762, 6575), ("gbs2", 4, 866, 799)])
-def test_normest_product_counts(request, monkeypatch, name, radius,
+def test_enumerate_ball_matches_plain_bfs_on_random_graphs():
+    """Parity on 20 seeded random graphs at radii 0-3, for the default
+    generators and for the other generators followed by a, a^-1, a (a the
+    base generator, whose steps are integer shifts)."""
+    rng = random.Random(5)
+    for _ in range(20):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        gens = opsim.default_generators(group)
+        a = group.vertex_generator(group.base)
+        assert a.items == (1,)
+        others = [s for s in gens if s not in (a, a.inverse())]
+        for generators in (gens, others + [a, a.inverse(), a]):
+            for r in range(4):
+                ball = opsim.enumerate_ball(group, generators, r)
+                assert list(ball.index) == _plain_ball(group, generators, r)
+
+
+@pytest.mark.parametrize("name, radius, size, ball_mul, f_mul", [
+    ("bs23", 8, 6575, 3779, 1656), ("gbs2", 4, 799, 574, 349)],
+    ids=["bs23", "gbs2"])
+def test_normest_product_counts(request, monkeypatch, name, radius, size,
                                 ball_mul, f_mul):
-    """One kernel product per non-parent step of the BFS, and one per ball
-    element for f = lam(g) + lam(g^-1): a second product per {g, g^-1} pair
-    or a step back to the parent fails by count.  Neither the BFS nor the
-    assembly goes through GroupElement products."""
+    """One kernel product per non-parent step of the BFS by a generator
+    that is not a power of the base generator a (a^+-1 steps are integer
+    shifts), and one per skeleton s of the ball for f = lam(g) +
+    lam(g^-1): a product per element, a second product per {g, g^-1} pair,
+    a kernel call for an a^+-1 step or a step back to the parent fails by
+    count.  Neither the BFS nor the assembly goes through GroupElement
+    products."""
     group = request.getfixturevalue(name)
     e = group.graph.edge_id("y")
     t = group.edge_generator(e)
@@ -286,7 +308,7 @@ def test_normest_product_counts(request, monkeypatch, name, radius,
     monkeypatch.setattr(wordcore, "mul_items", counting)
     monkeypatch.setattr(GroupElement, "__mul__", element_counting)
     ball = opsim.enumerate_ball(group, None, radius)
-    assert (len(ball), calls[0]) == (f_mul, ball_mul)
+    assert (len(ball), len(ball.fibers), calls[0]) == (size, f_mul, ball_mul)
     calls[0] = 0
     opsim.operator_of(f, ball)
     assert calls[0] == f_mul
