@@ -218,14 +218,17 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     of that word and a canonical b changes letters only at the seam, and
     its carries change exponents only, so its letters are those of c s
     less the last d and of b less the first d, d the number of pinches
-    (``_seam_depth``).  So one product per skeleton for the exclusion,
-    one per skeleton at j = 1 and one per j >= 2 do all the work:
+    (``_seam_depth``).  So at most one product per skeleton for the
+    exclusion, one per skeleton at j = 1 and one per j >= 2 do all the
+    work:
 
     - g lies in <a^N> iff h^-1 g h = a^(N q) at t(y), h the tree word from
       the base to t(y); h^-1 has zero exponents, so it is canonical.  With
       c = h^-1 and b = h, that holds iff the seam pinches every letter of
       both sides and leaves a multiple of N (``_outside_cyclic``, by the
-      same reader as ``GbsGroup.as_vertex_power``).
+      same reader as ``GbsGroup.as_vertex_power``).  That needs h^-1 s to
+      have h's letter count, which l(s) alone rules out for most
+      skeletons, with no product, and only such an h^-1 s reads each k.
     - With c = z_j and b = z_j^-1, d gives the letters of v.  Most pairs
       need no d.  Let W be the length of the shortest letter prefix of z_j
       that holds P, and n, m the letter counts of z_j and w = z_j s.  w
@@ -264,8 +267,10 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     (-+)^(j-1), then v_1's, then (-+)^(j-1), and likewise v_j^-1 with
     v_1^-1's.  If v_1 and v_1^-1 lie in S'_1, then v_j and v_j^-1 lie in
     S'_j, and (j, g) holds (Britton's lemma, as above).  A j whose
-    junction fails, and a g whose premise fails, are read as at j = 1,
-    so every (j, g) gets the verdict of that reading.
+    junction holds while every g meets the premise is decided whole, with
+    one record for all its g.  A j whose junction fails, and a g whose
+    premise fails, are read as at j = 1, so every (j, g) gets the verdict
+    of that reading.
 
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
@@ -322,8 +327,18 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
 
 def _outside_cyclic(s, ks, h, n: int, alpha):
     """The k in ``ks`` with s a^k outside <a_P^n>, for a skeleton ``s`` and
-    the tree word ``h`` from the base to P (see ``verify_pingpong``)."""
+    the tree word ``h`` from the base to P (see ``verify_pingpong``).
+
+    h^-1 s a^k h is a vertex power only when u = h^-1 s has as many letters
+    as h, and k changes no letter of u.  u has l(h) + l(s) - 2d letters,
+    d <= l(h) the pinches of h^-1 s, so an s with l(s) odd or above
+    2 l(h) keeps every k without a product, and any other s forms u once
+    and reads its k only when u has h's length."""
+    if len(s) > 2 * len(h) - 1 or len(s) // 2 % 2:
+        return list(ks)
     u = wordcore.mul_items(wordcore.inv_items(h), s, alpha)
+    if len(u) != len(h):
+        return list(ks)
     return [k for k in ks
             if (r := _collapsed_exponent(u, k, h, alpha)) is None or r % n]
 
@@ -335,7 +350,9 @@ def _failing_powers(data: Ce2Data, skeletons):
     a^k z_j^-1) or None, and the number of k whose seam depth was read.
     Every skeleton is read at j = 1.  A j >= 2 whose junction holds takes
     the verdict of each skeleton proven at j = 1 with z_1's head kept, and
-    reads the others; a j whose junction fails reads every skeleton (see
+    reads the others; when every skeleton was so proven, that j yields one
+    record (j, None, the number of all k, None, 0) in place of one per
+    skeleton.  A j whose junction fails reads every skeleton (see
     ``verify_pingpong``)."""
     if not data.z:
         return
@@ -354,12 +371,17 @@ def _failing_powers(data: Ce2Data, skeletons):
     r1 = list(_period(data.a, data.b, data.t).items)
     periodic = _head(r1[1::2], data.edge, 3) == [data.edge ^ 1, data.edge]
     y_length = sum(x // 2 == pair for x in z1[1::2])
+    every = all(extends)
+    total = sum(len(ks) for _, ks in skeletons)
     zj = z1
     for j, z in enumerate(data.z[1:], 2):
         zj = wordcore.mul_items(r1, zj, alpha)       # r1^(j-1) z_1
         y_length += 2
         junction = (periodic and tuple(zj) == z.items
                     and sum(x // 2 == pair for x in zj[1::2]) == y_length)
+        if junction and every:
+            yield j, None, total, None, 0
+            continue
         read = None
         for (s, ks), keeps in zip(skeletons, extends):
             if junction and keeps:

@@ -454,21 +454,30 @@ def test_seam_depth_matches_kernel(bs23, gbs2, two_vertex, chain3):
     assert {(d, True) for d in range(5)} <= set(depths)
 
 
-@pytest.mark.parametrize("name, products, reads",
-                         [("bs23", 63, 12), ("gbs2", 93, 25)],
-                         ids=["bs23", "gbs2"])
-def test_verify_product_counts(request, monkeypatch, name, products, reads):
-    """One product per skeleton for the <a^N> exclusion and one per
-    skeleton for the verdicts at j = 1; each later j costs one junction
-    product, and r1 three: a product per (j >= 2, skeleton), per g or per
-    (j, g) fails by count.  The window bound proves all but the (1, g) of
-    a few skeletons without a seam walk, the depths walked stay within it,
-    so no window of v is read, and every (j >= 2, g) follows from (1, g)."""
+@pytest.mark.parametrize(
+    "name, products, exclusions, reads, collapsed, records, pairs",
+    [("bs23", 38, 1, 12, 13, 34, 4_179_474),
+     ("gbs2", 93, 41, 25, 78, 49, 2_552_004)], ids=["bs23", "gbs2"])
+def test_verify_product_counts(request, monkeypatch, name, products,
+                               exclusions, reads, collapsed, records, pairs):
+    """The <a^N> exclusion forms h^-1 s only for a skeleton s with an even
+    number of letters, at most 2 l(h): on bs23 h is empty and only the
+    identity skeleton qualifies; on gbs2 l(h) = 1 and every skeleton has 0
+    or 2 letters.  Only an h^-1 s of h's length reads the seam of each of
+    its 13 k: the identity skeleton on bs23, 6 skeletons on gbs2.  One
+    product per skeleton gives the verdicts at j = 1; each later j costs
+    one junction product, and r1 three: a product per (j >= 2, skeleton),
+    per g or per (j, g) fails by count.  The window bound proves all but
+    the (1, g) of a few skeletons without a seam walk, the depths walked
+    stay within it, so no window of v is read, and every (j >= 2, g)
+    follows from (1, g), one record per j."""
     group = request.getfixturevalue(name)
     data = pingpong.build_ce2(group, "y", 2)
     skeletons = sum(1 for _ in closed_words(group, 2, 0))
     calls = Counter()
     mul, failing_power = wordcore.mul_items, pingpong._failing_power
+    collapsed_exponent = pingpong._collapsed_exponent
+    failing_powers = pingpong._failing_powers
 
     def counting(a, b, alpha):
         calls["mul"] += 1
@@ -478,11 +487,27 @@ def test_verify_product_counts(request, monkeypatch, name, products, reads):
         calls["power"] += 1
         return failing_power(letters, edge, j)
 
+    def counting_collapsed(w, k, b, alpha):
+        calls["collapsed"] += 1
+        return collapsed_exponent(w, k, b, alpha)
+
+    def counting_records(data, skeletons):
+        for record in failing_powers(data, skeletons):
+            calls["records"] += 1
+            yield record
+
     monkeypatch.setattr(wordcore, "mul_items", counting)
     monkeypatch.setattr(pingpong, "_failing_power", counting_power)
+    monkeypatch.setattr(pingpong, "_collapsed_exponent", counting_collapsed)
+    monkeypatch.setattr(pingpong, "_failing_powers", counting_records)
     rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
     assert rep.passed
-    assert calls["mul"] == products == 2 * skeletons + (rep.j_count - 1) + 3
+    assert calls["mul"] == products == (exclusions + skeletons
+                                        + (rep.j_count - 1) + 3)
+    assert calls["collapsed"] == collapsed
+    assert calls["records"] == records == skeletons + rep.j_count - 1
+    assert rep.certified == rep.g_count * rep.j_count
+    assert rep.pairs_checked == pairs
     assert rep.seam_reads == reads and calls["power"] == 0
     assert "seam_reads" not in rep.to_json_dict()
 
@@ -599,7 +624,8 @@ def _bound_matches_kernel(case, exp_bound):
     failing power; and each (j, s) record gives the leading proven k, the
     first failing (k, power) and the seam reads.  Then check
     ``_failing_powers`` against those records.  Returns a Counter of
-    (certified by the bound, failing power)."""
+    (certified by the bound, failing power), and the number of j read per
+    skeleton though their junction holds (``_junction_matches_per_j``)."""
     group, edge = case.group, case.edge
     alpha = group.graph.alpha
     h = group.geodesic_items(group.graph.terminus[edge])
@@ -633,19 +659,52 @@ def _bound_matches_kernel(case, exp_bound):
             reads = 0 if reach <= limit else proven + (failure is not None)
             assert next(records) == (j, s, proven, failure, reads)
     assert next(records, None) is None
-    _junction_matches_per_j(case, skeletons, per_j)
-    return outcomes
+    return outcomes, _junction_matches_per_j(case, skeletons, per_j)
+
+
+def _junction_holds(case):
+    """The j >= 2 whose junction premises hold, from group elements: z_j
+    is r1^(j-1) z_1, r1's y-signs are (-, +), and z_j has 2(j - 1) more
+    y-letters than z_1 (see ``verify_pingpong``)."""
+    r1 = pingpong._period(case.a, case.b, case.t)
+    signs = [x for x in r1.items[1::2] if x // 2 == case.edge // 2]
+    if signs != [case.edge ^ 1, case.edge]:
+        return set()
+    lemma = pingpong.averaging_elements(case._replace(z=case.z[:1]),
+                                        len(case.z))
+    ly = [z.edge_letter_count(case.edge) for z in case.z]
+    return {j for j in range(2, len(case.z) + 1)
+            if case.z[j - 1] == lemma[j - 1]
+            and ly[j - 1] == ly[0] + 2 * (j - 1)}
 
 
 def _junction_matches_per_j(case, skeletons, per_j):
     """``_failing_powers`` gives every (j, s) the verdict of the per-j
-    records ``per_j``, past a failure too; it reads no seam of a (j >= 2,
-    s) whose k all hold, or as many as the per-j reading."""
-    for new, old in itertools.zip_longest(
-            pingpong._failing_powers(case, skeletons), per_j):
+    records ``per_j``, past a failure too, once each summary record
+    (j, None, all k, None, 0) is expanded into the records (j, s, len(ks),
+    None, 0) it stands for; a summary comes only from a j >= 2 whose
+    junction holds.  It reads no seam of a (j >= 2, s) whose k all hold,
+    or as many as the per-j reading.  Returns the number of j >= 2 whose
+    junction holds but which are read per skeleton, because some skeleton
+    does not extend from j = 1."""
+    junction = _junction_holds(case)
+    records, fallbacks = [], set()
+    for record in pingpong._failing_powers(case, skeletons):
+        j, s = record[:2]
+        if s is None:
+            assert j in junction
+            assert record == (j, None, sum(len(ks) for _, ks in skeletons),
+                              None, 0)
+            records += [(j, s, len(ks), None, 0) for s, ks in skeletons]
+        else:
+            if j in junction:
+                fallbacks.add(j)
+            records.append(record)
+    for new, old in itertools.zip_longest(records, per_j):
         assert new[:4] == old[:4]
         assert new[4] == old[4] or (new[4] == 0 and new[0] > 1
                                     and old[3] is None)
+    return len(fallbacks)
 
 
 def _cut_conjugators(data):
@@ -672,16 +731,22 @@ def _bound_cases(data, rng):
 @pytest.mark.parametrize("name", ["bs23", "gbs2"])
 def test_window_bound_matches_kernel_on_fixtures(request, name):
     """Criterion 3's bounds on y and ~y, with the cut conjugators besides
-    the real, control and perturbed ones; the real ones read no window."""
+    the real, control and perturbed ones; the real ones read no window.
+    The cut conjugators keep the junction at every j >= 2 while some
+    skeleton fails at j = 1, so their 8 later j on each edge are read per
+    skeleton, which covers that path of ``_failing_powers``."""
     group = request.getfixturevalue(name)
     rng = random.Random(37)
     outcomes = Counter()
+    fallbacks = 0
     for edge in ("y", "~y"):
         data = pingpong.build_ce2(group, edge, 2)
         cases = _bound_cases(data, rng)
         cases += (("cut", data._replace(z=_cut_conjugators(data))),)
         for kind, case in cases:
-            for (bounded, power), count in _bound_matches_kernel(case, 6).items():
+            counts, fallback = _bound_matches_kernel(case, 6)
+            fallbacks += fallback
+            for (bounded, power), count in counts.items():
                 outcomes[kind, bounded, power is None] += count
     kinds = {kind: {key[1:] for key in outcomes if key[0] == kind}
              for kind in ("real", "control", "perturbed", "cut")}
@@ -689,6 +754,7 @@ def test_window_bound_matches_kernel_on_fixtures(request, name):
     assert kinds["control"] == {(False, False)}
     assert kinds["perturbed"] >= {(True, True), (False, False)}
     assert kinds["cut"] >= {(True, True), (False, True), (False, False)}
+    assert fallbacks == 16
 
 
 def test_window_bound_matches_kernel_on_random_graphs():
@@ -699,8 +765,8 @@ def test_window_bound_matches_kernel_on_random_graphs():
     for _ in range(400):
         for data in _ce2_edges(GbsGroup.from_text(random_graph_text(rng)), 1):
             for kind, case in _bound_cases(data, case_rng):
-                for (bounded, power), count in \
-                        _bound_matches_kernel(case, 1).items():
+                counts, _ = _bound_matches_kernel(case, 1)
+                for (bounded, power), count in counts.items():
                     outcomes[kind, bounded, power is None] += count
     assert outcomes["real", False, False] == 0
     assert outcomes["real", True, True] > outcomes["real", False, True]
