@@ -451,7 +451,7 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
     m_values = list(m_values)
     top = max(m_values, default=0)
     first = data.z[0].edge_length
-    step = data.z[1].edge_length - first            # len(r1)
+    step = data.r1.edge_length
     letters = top * first + step * top * (top - 1) // 2
     if letters > MAX_CONJUGATOR_LETTERS:
         raise OpsimError(f"m = {top} conjugators have {letters} letters, past "

@@ -45,6 +45,7 @@ class Ce2Data(NamedTuple):
     a: GroupElement            # generator of the terminus vertex group
     b: GroupElement            # generator of the origin vertex group
     t: GroupElement            # stable letter g_y
+    r1: GroupElement           # a t^-1 b t, the period of the z_j
     n: int                     # |alpha(y)|, index of iota_y
     m: int                     # |alpha(bar y)|, index of iota_bar-y
     N: int                     # <a^N> = <a> cap t^-2 <b> t^2
@@ -61,18 +62,27 @@ def build_ce2(group: GbsGroup, edge, L: int) -> Ce2Data:
     e = graph.edge_id(edge)
     if e in group.spanning.tree_edges:
         raise PingPongError(f"{graph.edge_name(e)} is a tree edge")
-    n, m = abs(graph.alpha[e]), abs(graph.alpha[e ^ 1])
-    if min(n, m) < 2:
+    if min(abs(graph.alpha[e]), abs(graph.alpha[e ^ 1])) < 2:
         raise PingPongError(f"{graph.edge_name(e)} is improper: |alpha| < 2")
     if L < 0:
         raise PingPongError("L must be nonnegative")
+    return _ce2_data(group, e, L)
 
+
+def _ce2_data(group: GbsGroup, e: int, L: int) -> Ce2Data:
+    """``build_ce2``'s data on the edge index ``e``, without its guards."""
+    graph = group.graph
     a = group.vertex_generator(graph.terminus[e])
     b = group.vertex_generator(graph.origin[e])
     t = group.edge_generator(e)
-    return Ce2Data(group=group, edge=e, a=a, b=b, t=t, n=n, m=m,
+    tinv = t.inverse()
+    r1 = a * tinv * b * t
+    r2 = a * tinv * tinv * b * t * t
+    data = Ce2Data(group=group, edge=e, a=a, b=b, t=t, r1=r1,
+                   n=abs(graph.alpha[e]), m=abs(graph.alpha[e ^ 1]),
                    N=big_N(graph, group.spanning, e), L=L,
-                   z=tuple(islice(_conjugators(a, b, t, L), CE2_COUNT)))
+                   z=(r1 * r2 * r1 ** L,))
+    return data._replace(z=tuple(averaging_elements(data, CE2_COUNT)))
 
 
 def check_search(group: GbsGroup, L: int, word_bound: int,
@@ -91,29 +101,11 @@ def check_search(group: GbsGroup, L: int, word_bound: int,
             f"exceeds the cap of {MAX_BALL_VERTICES} words")
 
 
-def _period(a, b, t):
-    """r1 = a t^-1 b t."""
-    return a * t.inverse() * b * t
-
-
-def _conjugators(a, b, t, L: int):
-    """z_1, z_2, ... with z_j = r1^j r2 r1^L, by z_{j+1} = r1 z_j."""
-    r1 = _period(a, b, t)
-    tinv = t.inverse()
-    r2 = a * tinv * tinv * b * t * t
-    z = r1 * r2 * r1 ** L
-    while True:
-        yield z
-        z = r1 * z
-
-
 def averaging_elements(data: Ce2Data, count: int):
     """z_1 .. z_count; extends past the stored ones by z_{j+1} = r1 z_j."""
     out = list(data.z[:count])
-    if count > len(out):
-        r1 = _period(data.a, data.b, data.t)
-        while len(out) < count:
-            out.append(r1 * out[-1])
+    while len(out) < count:
+        out.append(data.r1 * out[-1])
     return out
 
 
@@ -227,8 +219,9 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
       c = h^-1 and b = h, that holds iff the seam pinches every letter of
       both sides and leaves a multiple of N (``_outside_cyclic``, by the
       same reader as ``GbsGroup.as_vertex_power``).  That needs h^-1 s to
-      have h's letter count, which l(s) alone rules out for most
-      skeletons, with no product, and only such an h^-1 s reads each k.
+      have h's letter count, which l(s) or a read-only seam walk rules out
+      for most skeletons, with no product; only such an h^-1 s is formed,
+      and it reads each k.
     - With c = z_j and b = z_j^-1, d gives the letters of v.  Most pairs
       need no d.  Let W be the length of the shortest letter prefix of z_j
       that holds P, and n, m the letter counts of z_j and w = z_j s.  w
@@ -250,14 +243,15 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     their first i edges, and a product cancels the common start of the
     first path reversed and the second translated.  Let u = r1^(j-1) and
     let H be the position of z_1's first y-letter.  ``_failing_powers``
-    forms r1^(j-1) z_1 as r1 (r1^(j-2) z_1), one product per j, and
-    requires that it equal z_j, that r1's y-signs be exactly (-, +), and
-    that l_y(z_j) = l_y(z_1) + 2(j - 1).  Since l_y(u) <= 2(j - 1) and a
-    pinched y-letter takes one from each side, u keeps every y-letter,
-    with signs (-+)^(j-1), and the junction u | z_1 cancels no y-letter:
-    only letters of z_1 before its H-th.  The premise on g: d1 <= n - H
-    and d <= min(m, n) - H, the bound above with H for W (every skeleton
-    proven by the reach bound meets it, as H < W).  Then v_1 and v_1^-1
+    forms r1^(j-1) z_1 as r1 (r1^(j-2) z_1) from ``data.r1``, one
+    product per j, and requires that it equal z_j, that r1's y-signs be
+    exactly (-, +), and that l_y(z_j) = l_y(z_1) + 2(j - 1).  Since
+    l_y(u) <= 2(j - 1) and a pinched y-letter takes one from each side,
+    u keeps every y-letter, with signs (-+)^(j-1), and the junction
+    u | z_1 cancels no y-letter: only letters of z_1 before its H-th.
+    The premise on g: d1 <= n - H and d <= min(m, n) - H, the bound
+    above with H for W (every skeleton proven by the reach bound meets
+    it, as H < W).  Then v_1 and v_1^-1
     both start with z_1's first H letters, exponents included, so the
     cancellation the junction reads is the same: u v_1 cancels what u z_1
     does, and, since d(X, Y) = d(Y^-1, X^-1) for the pinch count of X Y,
@@ -268,19 +262,22 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     v_1^-1's.  If v_1 and v_1^-1 lie in S'_1, then v_j and v_j^-1 lie in
     S'_j, and (j, g) holds (Britton's lemma, as above).  A j whose
     junction holds while every g meets the premise is decided whole, with
-    one record for all its g.  A j whose junction fails, and a g whose
-    premise fails, are read as at j = 1, so every (j, g) gets the verdict
-    of that reading.
+    one record for all its g.  A j whose junction fails, and a j where some
+    g's premise fails, is read whole, as at j = 1, so every (j, g) gets
+    the verdict of that reading.
 
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
     with at most word_bound edge letters and trailing exponent within
     exponent_bound.  The S'_j are disjoint and depend on letters alone, so
     one pass over the skeletons of the f gives each its j, or none.  With
-    no g within the bounds there is nothing to prove, and it raises.
+    no conjugator, or no g within the bounds, there is nothing to prove,
+    and it raises.
     """
     if word_bound < 0 or exponent_bound < 0:
         raise PingPongError("word and exponent bounds must be nonnegative")
+    if not data.z:
+        raise PingPongError("no conjugators to verify")
     group = data.group
     alpha = group.graph.alpha
     h = group.geodesic_items(group.graph.terminus[data.edge])
@@ -332,13 +329,14 @@ def _outside_cyclic(s, ks, h, n: int, alpha):
     h^-1 s a^k h is a vertex power only when u = h^-1 s has as many letters
     as h, and k changes no letter of u.  u has l(h) + l(s) - 2d letters,
     d <= l(h) the pinches of h^-1 s, so an s with l(s) odd or above
-    2 l(h) keeps every k without a product, and any other s forms u once
-    and reads its k only when u has h's length."""
+    2 l(h) keeps every k with no seam walk; any other s reads d by the
+    seam walk, and forms u and reads its k only when l(s) = 2d."""
     if len(s) > 2 * len(h) - 1 or len(s) // 2 % 2:
         return list(ks)
-    u = wordcore.mul_items(wordcore.inv_items(h), s, alpha)
-    if len(u) != len(h):
+    h_inv = wordcore.inv_items(h)
+    if 4 * _seam_depth(h_inv, 0, s, alpha)[0] != len(s) - 1:
         return list(ks)
+    u = wordcore.mul_items(h_inv, s, alpha)
     return [k for k in ks
             if (r := _collapsed_exponent(u, k, h, alpha)) is None or r % n]
 
@@ -348,46 +346,38 @@ def _failing_powers(data: Ce2Data, skeletons):
     s with its trailing exponents ks, in that order: the number of leading
     k in ks proven for every f, the first failing (k, power of v = z_j s
     a^k z_j^-1) or None, and the number of k whose seam depth was read.
-    Every skeleton is read at j = 1.  A j >= 2 whose junction holds takes
-    the verdict of each skeleton proven at j = 1 with z_1's head kept, and
-    reads the others; when every skeleton was so proven, that j yields one
-    record (j, None, the number of all k, None, 0) in place of one per
-    skeleton.  A j whose junction fails reads every skeleton (see
-    ``verify_pingpong``)."""
-    if not data.z:
-        return
+    Every skeleton is read at j = 1.  When each was proven there with z_1's
+    head kept, a j >= 2 whose junction holds yields one record (j, None,
+    the number of all k, None, 0) for all its skeletons; any other j reads
+    every skeleton (see ``verify_pingpong``)."""
     alpha = data.group.graph.alpha
     pair = data.edge // 2
     z1 = list(data.z[0].items)
     head = next((i for i, x in enumerate(z1[1::2], 1) if x // 2 == pair),
                 None)
     read = _skeleton_reader(data, 1, data.z[0], head)
-    extends = []
+    every = True
     for s, ks in skeletons:
         proven, failure, reads, keeps = read(s, ks)
-        extends.append(keeps)
+        every = every and keeps
         yield 1, s, proven, failure, reads
 
-    r1 = list(_period(data.a, data.b, data.t).items)
-    periodic = _head(r1[1::2], data.edge, 3) == [data.edge ^ 1, data.edge]
+    r1 = list(data.r1.items)
+    periodic = every and (_head(r1[1::2], data.edge, 3)
+                          == [data.edge ^ 1, data.edge])
     y_length = sum(x // 2 == pair for x in z1[1::2])
-    every = all(extends)
     total = sum(len(ks) for _, ks in skeletons)
     zj = z1
     for j, z in enumerate(data.z[1:], 2):
-        zj = wordcore.mul_items(r1, zj, alpha)       # r1^(j-1) z_1
-        y_length += 2
-        junction = (periodic and tuple(zj) == z.items
-                    and sum(x // 2 == pair for x in zj[1::2]) == y_length)
-        if junction and every:
-            yield j, None, total, None, 0
-            continue
-        read = None
-        for (s, ks), keeps in zip(skeletons, extends):
-            if junction and keeps:
-                yield j, s, len(ks), None, 0
+        if periodic:
+            zj = wordcore.mul_items(r1, zj, alpha)   # r1^(j-1) z_1
+            y_length += 2
+            if (tuple(zj) == z.items
+                    and sum(x // 2 == pair for x in zj[1::2]) == y_length):
+                yield j, None, total, None, 0
                 continue
-            read = read or _skeleton_reader(data, j, z)
+        read = _skeleton_reader(data, j, z)
+        for s, ks in skeletons:
             yield (j, s) + read(s, ks)[:3]
 
 
@@ -488,12 +478,11 @@ def build_theorem_data(group: GbsGroup, edge, g: GroupElement,
     rp1 = rprime(1)
     rp2 = rprime(2)
     rp1_inv = rp1.inverse()
-    rp2_inv2 = rp2.inverse() ** 2
     w = []
-    acc = group.identity()
+    acc = rp2.inverse() ** 2
     for _ in range(count):
-        acc = acc * rp1_inv
-        w.append(acc * rp2_inv2)
+        acc = rp1_inv * acc                     # w_{i+1} = rp1^-1 w_i
+        w.append(acc)
 
     k1 = vertex_index(rp2.inverse(), graph.terminus[e])
     n_exp = big_N(graph, group.spanning, e)

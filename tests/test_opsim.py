@@ -394,6 +394,19 @@ def test_decay_experiment_small(bs23):
     assert len(csv.splitlines()) == 4
 
 
+def test_decay_experiment_reads_the_stored_period(bs23):
+    """The letter cap reads r1 from the data, so data that stores z_1 alone
+    gives the table of the nine stored conjugators."""
+    a = bs23.vertex_generator("P")
+    t = bs23.edge_generator("y")
+    g = t * a * t.inverse()
+    f = lam(g) + lam(g.inverse())
+    data = pingpong.build_ce2(bs23, "y", 2)
+    table = opsim.powers_decay_experiment(data, f, [4, 9], 2)
+    assert opsim.powers_decay_experiment(
+        data._replace(z=data.z[:1]), f, [4, 9], 2) == table
+
+
 def test_decay_experiment_gbs2(gbs2):
     aq = gbs2.vertex_generator("Q")
     t = gbs2.edge_generator("y")

@@ -6,7 +6,7 @@ import pytest
 
 from gbs import pingpong, wordcore
 from gbs.graphs import parse_graph
-from gbs.indices import big_N, modular_value
+from gbs.indices import modular_value
 from gbs.words import (GbsGroup, GroupElement, _collapsed_exponent,
                        _seam_depth, _seam_reach, closed_words,
                        random_closed_word)
@@ -319,19 +319,6 @@ def test_verify_matches_brute_force_on_random_graphs():
     assert outcomes["perturbed", True] and outcomes["perturbed", False]
 
 
-def _unguarded_ce2(group, e, big_l):
-    """``build_ce2``'s data on ``e`` without its guards."""
-    graph = group.graph
-    a = group.vertex_generator(graph.terminus[e])
-    b = group.vertex_generator(graph.origin[e])
-    t = group.edge_generator(e)
-    z = pingpong._conjugators(a, b, t, big_l)
-    return pingpong.Ce2Data(
-        group=group, edge=e, a=a, b=b, t=t, n=abs(graph.alpha[e]),
-        m=abs(graph.alpha[e ^ 1]), N=big_N(graph, group.spanning, e),
-        L=big_l, z=tuple(itertools.islice(z, pingpong.CE2_COUNT)))
-
-
 def test_verify_passes_on_random_graphs():
     """Every non-tree directed edge of the first 400 seeded random graphs
     at L = 1, word bound 0 and exponent bound 3: ``build_ce2`` accepts the
@@ -354,7 +341,7 @@ def test_verify_passes_on_random_graphs():
             else:
                 with pytest.raises(pingpong.PingPongError, match="improper"):
                     pingpong.build_ce2(group, e, 1)
-                data = _unguarded_ce2(group, e, 1)
+                data = pingpong._ce2_data(group, e, 1)
             try:
                 rep = pingpong.verify_pingpong(data, 0, 3)
             except pingpong.PingPongError as exc:
@@ -456,21 +443,20 @@ def test_seam_depth_matches_kernel(bs23, gbs2, two_vertex, chain3):
 
 @pytest.mark.parametrize(
     "name, products, exclusions, reads, collapsed, records, pairs",
-    [("bs23", 38, 1, 12, 13, 34, 4_179_474),
-     ("gbs2", 93, 41, 25, 78, 49, 2_552_004)], ids=["bs23", "gbs2"])
+    [("bs23", 35, 1, 12, 13, 34, 4_179_474),
+     ("gbs2", 55, 6, 25, 78, 49, 2_552_004)], ids=["bs23", "gbs2"])
 def test_verify_product_counts(request, monkeypatch, name, products,
                                exclusions, reads, collapsed, records, pairs):
-    """The <a^N> exclusion forms h^-1 s only for a skeleton s with an even
-    number of letters, at most 2 l(h): on bs23 h is empty and only the
-    identity skeleton qualifies; on gbs2 l(h) = 1 and every skeleton has 0
-    or 2 letters.  Only an h^-1 s of h's length reads the seam of each of
-    its 13 k: the identity skeleton on bs23, 6 skeletons on gbs2.  One
-    product per skeleton gives the verdicts at j = 1; each later j costs
-    one junction product, and r1 three: a product per (j >= 2, skeleton),
-    per g or per (j, g) fails by count.  The window bound proves all but
-    the (1, g) of a few skeletons without a seam walk, the depths walked
-    stay within it, so no window of v is read, and every (j >= 2, g)
-    follows from (1, g), one record per j."""
+    """The <a^N> exclusion forms h^-1 s only for a skeleton s whose seam
+    walk with h^-1 leaves h's letter count: on bs23 h is empty and only
+    the identity skeleton qualifies; on gbs2 l(h) = 1 and 6 of the 41
+    skeletons do.  Each such h^-1 s reads the seam of each of its 13 k.
+    One product per skeleton gives the verdicts at j = 1; each later j
+    costs one junction product, and r1 none, since it is stored: a product
+    per (j >= 2, skeleton), per g or per (j, g) fails by count.  The
+    window bound proves all but the (1, g) of a few skeletons without a
+    seam walk, the depths walked stay within it, so no window of v is
+    read, and every (j >= 2, g) follows from (1, g), one record per j."""
     group = request.getfixturevalue(name)
     data = pingpong.build_ce2(group, "y", 2)
     skeletons = sum(1 for _ in closed_words(group, 2, 0))
@@ -503,7 +489,7 @@ def test_verify_product_counts(request, monkeypatch, name, products,
     rep = pingpong.verify_pingpong(data, word_bound=3, exponent_bound=6)
     assert rep.passed
     assert calls["mul"] == products == (exclusions + skeletons
-                                        + (rep.j_count - 1) + 3)
+                                        + rep.j_count - 1)
     assert calls["collapsed"] == collapsed
     assert calls["records"] == records == skeletons + rep.j_count - 1
     assert rep.certified == rep.g_count * rep.j_count
@@ -542,18 +528,17 @@ def test_junction_matches_per_j_reading(request, monkeypatch, name, big_l):
     included.  The mutants: the negative control, r2 replaced by r1^2, the
     cut conjugators, one z_k with a random word in front or behind, and
     two that keep z_j = r1^(j-1) z_1 but break another premise of the
-    junction: z_1 without its leading a (r1 z_1 pinches a y-letter), and t
-    inverted (r1's y-signs are (+, -))."""
+    junction: z_1 without its leading a (r1 z_1 pinches a y-letter), and
+    r1 replaced by a t b t^-1 (its y-signs are (+, -))."""
     group = request.getfixturevalue(name)
     rng = random.Random(53)
     verdicts = Counter()
     for edge in ("y", "~y"):
         data = pingpong.build_ce2(group, edge, big_l)
-        r1 = pingpong._period(data.a, data.b, data.t)
+        r1 = data.r1
         k = rng.randrange(len(data.z))
         x = random_closed_word(group, rng, 3, 3)
-        flipped = data._replace(t=data.t.inverse())
-        r1_flipped = pingpong._period(flipped.a, flipped.b, flipped.t)
+        flipped = data._replace(r1=data.a * data.t * data.b * data.t.inverse())
         cases = {
             "real": data,
             "control": pingpong.make_negative_control(data),
@@ -568,7 +553,7 @@ def test_junction_matches_per_j_reading(request, monkeypatch, name, big_l):
                 r1 ** j * data.a.inverse() * data.z[0]
                 for j in range(len(data.z)))),
             "flipped": flipped._replace(z=tuple(
-                r1_flipped ** j * data.z[0] for j in range(len(data.z)))),
+                flipped.r1 ** j * data.z[0] for j in range(len(data.z)))),
         }
         for kind, case in cases.items():
             rep = _report_matches_per_j(monkeypatch, case, 1, 3)
@@ -592,7 +577,7 @@ def test_junction_matches_per_j_on_improper_edges(monkeypatch):
                 continue
             try:
                 rep = _report_matches_per_j(
-                    monkeypatch, _unguarded_ce2(group, e, 1), 1, 3)
+                    monkeypatch, pingpong._ce2_data(group, e, 1), 1, 3)
             except pingpong.PingPongError:
                 continue                # nothing to prove
             assert not rep.passed
@@ -666,8 +651,7 @@ def _junction_holds(case):
     """The j >= 2 whose junction premises hold, from group elements: z_j
     is r1^(j-1) z_1, r1's y-signs are (-, +), and z_j has 2(j - 1) more
     y-letters than z_1 (see ``verify_pingpong``)."""
-    r1 = pingpong._period(case.a, case.b, case.t)
-    signs = [x for x in r1.items[1::2] if x // 2 == case.edge // 2]
+    signs = [x for x in case.r1.items[1::2] if x // 2 == case.edge // 2]
     if signs != [case.edge ^ 1, case.edge]:
         return set()
     lemma = pingpong.averaging_elements(case._replace(z=case.z[:1]),
@@ -682,11 +666,11 @@ def _junction_matches_per_j(case, skeletons, per_j):
     """``_failing_powers`` gives every (j, s) the verdict of the per-j
     records ``per_j``, past a failure too, once each summary record
     (j, None, all k, None, 0) is expanded into the records (j, s, len(ks),
-    None, 0) it stands for; a summary comes only from a j >= 2 whose
-    junction holds.  It reads no seam of a (j >= 2, s) whose k all hold,
-    or as many as the per-j reading.  Returns the number of j >= 2 whose
-    junction holds but which are read per skeleton, because some skeleton
-    does not extend from j = 1."""
+    None) it stands for; a summary comes only from a j >= 2 whose junction
+    holds, and reads no seam.  Every other j reads every skeleton, with
+    the per-j reading's seam reads.  Returns the number of j >= 2 whose
+    junction holds but which are read whole, because some skeleton does
+    not extend from j = 1."""
     junction = _junction_holds(case)
     records, fallbacks = [], set()
     for record in pingpong._failing_powers(case, skeletons):
@@ -695,15 +679,14 @@ def _junction_matches_per_j(case, skeletons, per_j):
             assert j in junction
             assert record == (j, None, sum(len(ks) for _, ks in skeletons),
                               None, 0)
-            records += [(j, s, len(ks), None, 0) for s, ks in skeletons]
+            records += [(j, s, len(ks), None, None) for s, ks in skeletons]
         else:
             if j in junction:
                 fallbacks.add(j)
             records.append(record)
     for new, old in itertools.zip_longest(records, per_j):
         assert new[:4] == old[:4]
-        assert new[4] == old[4] or (new[4] == 0 and new[0] > 1
-                                    and old[3] is None)
+        assert new[4] in (old[4], None)
     return len(fallbacks)
 
 
@@ -712,8 +695,7 @@ def _cut_conjugators(data):
     letter, so a skeleton whose first letter pinches that letter (t a t on
     bs23) moves it out of the window."""
     a, b, t = data.a, data.b, data.t
-    r1 = a * t.inverse() * b * t
-    return tuple(r1 ** j * a * t.inverse() * b * t.inverse()
+    return tuple(data.r1 ** j * a * t.inverse() * b * t.inverse()
                  for j in range(1, len(data.z) + 1))
 
 
@@ -733,8 +715,8 @@ def test_window_bound_matches_kernel_on_fixtures(request, name):
     """Criterion 3's bounds on y and ~y, with the cut conjugators besides
     the real, control and perturbed ones; the real ones read no window.
     The cut conjugators keep the junction at every j >= 2 while some
-    skeleton fails at j = 1, so their 8 later j on each edge are read per
-    skeleton, which covers that path of ``_failing_powers``."""
+    skeleton fails at j = 1, so their 8 later j on each edge are read
+    whole, which covers that path of ``_failing_powers``."""
     group = request.getfixturevalue(name)
     rng = random.Random(37)
     outcomes = Counter()
@@ -772,6 +754,13 @@ def test_window_bound_matches_kernel_on_random_graphs():
     assert outcomes["real", True, True] > outcomes["real", False, True]
     assert outcomes["perturbed", True, True] and \
         outcomes["perturbed", False, False]
+
+
+def test_verify_refuses_data_without_conjugators(ce2_bs23):
+    """With no conjugator there is nothing to prove: an error, not a pass
+    that certified nothing."""
+    with pytest.raises(pingpong.PingPongError, match="no conjugators"):
+        pingpong.verify_pingpong(ce2_bs23._replace(z=()), 1, 3)
 
 
 def test_verify_gbs2_at_spec_bounds(gbs2):
@@ -825,6 +814,21 @@ def test_theorem_data_structure(bs23, theorem_bs23):
     assert td.ly_rp1 == rp1.edge_letter_count("y") == 8
     assert td.w[0] == rp1.inverse() * td.rp2.inverse() ** 2
     assert td.w[2] == td.rp1.inverse() ** 3 * td.rp2.inverse() ** 2
+
+
+@pytest.mark.parametrize("name", ["bs23", "gbs2"])
+def test_theorem_conjugators_follow_the_recursion(request, name):
+    """w_{i+1} = rp1^-1 w_i gives w_i = rp1^-i rp2^-2 for every i <= count,
+    and count = 0 gives no w."""
+    group = request.getfixturevalue(name)
+    a = group.vertex_generator(group.graph.terminus[group.graph.edge_id("y")])
+    t = group.edge_generator("y")
+    g = t * a * t.inverse()
+    assert pingpong.build_theorem_data(group, "y", g, 0).w == ()
+    td = pingpong.build_theorem_data(group, "y", g, 6)
+    assert len(td.w) == 6
+    for i, w in enumerate(td.w, 1):
+        assert w == td.rp1.inverse() ** i * td.rp2.inverse() ** 2
 
 
 def test_theorem_modular_kernel(theorem_bs23):
