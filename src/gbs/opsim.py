@@ -97,20 +97,28 @@ def restrict_expectation(x: FormalElement, vertex, k: int) -> FormalElement:
     return FormalElement(kept)
 
 
-def average_conjugates(x: FormalElement, conjugators) -> FormalElement:
-    """(1/n) sum_z z x z^-1, exact when the input coefficients are exact."""
-    conjugators = list(conjugators)
-    if not conjugators:
+def _conjugates(x: FormalElement, z: GroupElement):
+    """The terms (z g z^-1, c) of z x z^-1, in x's term order."""
+    zinv = z.inverse()
+    return [(z * g * zinv, c) for g, c in x.terms.items()]
+
+
+def _mean(conjugates, exact: bool) -> FormalElement:
+    """(1/n) sum of the n term lists ``conjugates``, summed in list order."""
+    if not conjugates:
         raise OpsimError("need at least one conjugator")
-    n = len(conjugators)
-    weight = Fraction(1, n) if x.exact else 1.0 / n
+    n = len(conjugates)
+    weight = Fraction(1, n) if exact else 1.0 / n
     out = {}
-    for z in conjugators:
-        zinv = z.inverse()
-        for g, c in x.terms.items():
-            h = z * g * zinv
+    for terms in conjugates:
+        for h, c in terms:
             out[h] = out.get(h, 0) + weight * c
     return FormalElement(out)
+
+
+def average_conjugates(x: FormalElement, conjugators) -> FormalElement:
+    """(1/n) sum_z z x z^-1, exact when the input coefficients are exact."""
+    return _mean([_conjugates(x, z) for z in conjugators], x.exact)
 
 
 class Ball:
@@ -312,6 +320,8 @@ def operator_of(x: FormalElement, ball: Ball) -> BallOperator:
                             cols.append(i)
                             vals.append(cinv)
     n = len(ball)
+    if not vals:        # every term skipped by the gap, or no terms
+        return BallOperator(csr_matrix((n, n)))
     mat = csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
     return BallOperator(mat)
 
@@ -463,10 +473,11 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
         raise OpsimError(f"f's operator on the radius {radius} ball is zero: "
                          "every bound would be 0 and check nothing")
     f_norm, _ = _power_iteration(f_op, tol, 10 ** 5, seed)
+    # z f z^-1 once per z_1 .. z_top; each m averages the first m
+    conjugates = [_conjugates(f, z) for z in averaging_elements(data, top)]
     rows = []
     for m in m_values:
-        zs = averaging_elements(data, m)
-        avg = average_conjugates(f, zs)
+        avg = _mean(conjugates[:m], f.exact)
         est, iters = _power_iteration(operator_of(avg, ball_).matrix,
                                       tol, 10 ** 5, seed)
         rows.append(DecayRow(m=m, bound=2.0 / math.sqrt(m) * f_norm,

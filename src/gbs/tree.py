@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 from gbs import wordcore
 from gbs.graphs import Decomposition, GraphError, decompose, paths_from
-from gbs.words import (GbsGroup, GroupElement, WordError, path_items,
-                       path_string)
+from gbs.words import GbsGroup, GroupElement, WordError, path_items
 
 
 # Caps on one ``ball``: about 1 KB per vertex once exported.
@@ -91,38 +90,55 @@ class TreeBall:
     def interior_vertices(self):
         return [v for v in self.vertices if not self.is_frontier(v)]
 
-    def vertex_label(self, v: TreeVertex) -> str:
-        name = self.group.graph.vertices[v.vertex]
-        rep = path_string(self.group.graph, self.group.base, v.key)
-        return f"{name} | {rep}"
+    def _export_columns(self):
+        """Edge names by index, and each vertex's printed key (``path_string``
+        of its key) and depth.  ``ball`` appends (parent, child, e, rho) in
+        BFS order, and a child's key is its parent's with rho, e, 0 appended,
+        so its printed key is the parent's followed by a_P^rho (P the
+        parent's type) and g_e."""
+        graph = self.group.graph
+        names = [graph.edge_name(e) for e in range(graph.n_edges)]
+        paths, depths = [""], [0]       # the base's path word is empty
+        for a, _, e, rho in self.edges:
+            step = f"g[{names[e]}]"
+            if rho:
+                power = f"^{rho}" if rho != 1 else ""
+                step = f"a[{graph.vertices[graph.origin[e]]}]{power}*{step}"
+            path = paths[a]
+            paths.append(f"{path}*{step}" if path else step)
+            depths.append(depths[a] + 1)
+        paths[0] = "1"
+        return names, paths, depths
 
     def to_dot(self) -> str:
         graph = self.group.graph
+        names, keys, _ = self._export_columns()
         lines = ["graph ball {"]
-        for i, v in enumerate(self.vertices):
-            lines.append(f'  v{i} [label="{self.vertex_label(v)}"];')
+        for i, (v, key) in enumerate(zip(self.vertices, keys)):
+            lines.append(f'  v{i} [label="{graph.vertices[v.vertex]} | {key}"];')
         for a, b, e, rho in self.edges:
-            lines.append(f'  v{a} -- v{b} [label="{graph.edge_name(e)}:{rho}"];')
+            lines.append(f'  v{a} -- v{b} [label="{names[e]}:{rho}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
         graph = self.group.graph
+        names, keys, depths = self._export_columns()
         return {
             "radius": self.radius,
             "vertices": [
                 {
                     "id": i,
                     "vertex": graph.vertices[v.vertex],
-                    "key": path_string(graph, self.group.base, v.key),
-                    "depth": self.depth[v][0],
-                    "frontier": self.is_frontier(v),
+                    "key": key,
+                    "depth": d,
+                    "frontier": d == self.radius,
                 }
-                for i, v in enumerate(self.vertices)
+                for i, (v, key, d) in enumerate(
+                    zip(self.vertices, keys, depths))
             ],
             "edges": [
-                {"source": a, "target": b,
-                 "edge": graph.edge_name(e), "residue": rho}
+                {"source": a, "target": b, "edge": names[e], "residue": rho}
                 for a, b, e, rho in self.edges
             ],
         }

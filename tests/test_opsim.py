@@ -315,6 +315,57 @@ def test_normest_product_counts(request, monkeypatch, name, radius, size,
     assert element_calls[0] == 0
 
 
+@pytest.mark.parametrize("name, radius", [("bs23", 2), ("gbs2", 4)])
+def test_decay_averages_from_one_conjugate_table(request, monkeypatch,
+                                                 name, radius):
+    """``powers_decay_experiment`` hands ``operator_of``, after f, the
+    average of each m as ``average_conjugates`` forms it from z_1 .. z_m:
+    the same terms in the same order.  It conjugates each term of f once
+    per z_j up to the largest m, 16 products z g per term for m in
+    (1, 4, 9, 16), not one per (m, j)."""
+    group = request.getfixturevalue(name)
+    e = group.graph.edge_id("y")
+    t = group.edge_generator(e)
+    g = t * group.vertex_generator(group.graph.terminus[e]) * t.inverse()
+    f = lam(g) + lam(g.inverse())
+    data = pingpong.build_ce2(group, e, 2)
+    m_values = (1, 4, 9, 16)
+    received = []
+    conjugations = [0]
+    operator_of = opsim.operator_of
+    element_mul = GroupElement.__mul__
+
+    def recording(x, ball):
+        received.append(x)
+        return operator_of(x, ball)
+
+    def counting(self, other):
+        conjugations[0] += other in f.terms
+        return element_mul(self, other)
+
+    monkeypatch.setattr(opsim, "operator_of", recording)
+    monkeypatch.setattr(GroupElement, "__mul__", counting)
+    opsim.powers_decay_experiment(data, f, m_values, radius)
+    assert conjugations[0] == 16 * len(f.terms)
+    monkeypatch.undo()
+    assert received[0] is f
+    for m, avg in zip(m_values, received[1:], strict=True):
+        expected = opsim.average_conjugates(
+            f, pingpong.averaging_elements(data, m))
+        assert list(avg.terms.items()) == list(expected.terms.items())
+
+
+def test_all_skipped_operator_is_empty(bs23):
+    """Terms the edge-length gap skips on every skeleton give the empty
+    n x n operator, whose norm the solver reads as 0 in no step."""
+    ball = opsim.enumerate_ball(bs23, None, 2)
+    t = bs23.edge_generator("y")
+    mat = opsim.operator_of(lam(t ** 9) + lam(t ** -9), ball).matrix
+    assert mat.format == "csr"
+    assert (mat.shape, mat.nnz) == ((len(ball), len(ball)), 0)
+    assert opsim._power_iteration(mat, 1e-6, 100, 42) == (0.0, 0)
+
+
 def test_ball_and_operator_reject_foreign_elements():
     """Two groups parsed from one text have equal items but their own alpha
     tables: a generator or a term of the other group raises WordError, as

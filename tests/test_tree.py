@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from gbs import tree, wordcore
 from gbs.graphs import GraphError
 from gbs.words import GbsGroup
-from gbs.words import WordError, closed_words, random_closed_word
+from gbs.words import WordError, closed_words, path_string, random_closed_word
 
-from conftest import bs_text
+from conftest import bs_text, random_graph_text
 
 
 def test_ball_radius_zero(bs23):
@@ -306,3 +307,32 @@ def test_exports(bs23):
     assert len(d["vertices"]) == 6
     assert len(d["edges"]) == 5
     assert {v["frontier"] for v in d["vertices"]} == {True, False}
+
+
+def test_exports_match_vertex_oracles(bs23, gbs2, two_vertex, chain3):
+    """Each exported key is ``path_string`` of the vertex's key, each depth
+    and frontier flag the ones ``ball`` records, and each dot label
+    "<type> | <key>": on the four fixtures at radii 0-4 and on 20 seeded
+    random graphs, each at the largest radius up to 3 whose ball has at
+    most 2,000 vertices."""
+    rng = random.Random(31)
+    cases = [(g, r) for g in (bs23, gbs2, two_vertex, chain3)
+             for r in range(5)]
+    for _ in range(20):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        sizes = itertools.accumulate(
+            itertools.islice(tree.layer_sizes(group), 4))
+        cases.append((group, max(r for r, n in enumerate(sizes) if n <= 2000)))
+    for group, r in cases:
+        graph = group.graph
+        b = tree.ball(group, r)
+        rows = b.to_json_dict()["vertices"]
+        labels = re.findall(r'^  v(\d+) \[label="(.*)"\];$', b.to_dot(), re.M)
+        assert len(rows) == len(labels) == len(b.vertices)
+        for i, (v, row, label) in enumerate(zip(b.vertices, rows, labels)):
+            name = graph.vertices[v.vertex]
+            key = path_string(graph, group.base, v.key)
+            assert row == {"id": i, "vertex": name, "key": key,
+                           "depth": b.depth[v][0],
+                           "frontier": b.is_frontier(v)}, (graph.vertices, r)
+            assert label == (str(i), f"{name} | {key}")
