@@ -46,8 +46,6 @@ class Ce2Data(NamedTuple):
     b: GroupElement            # generator of the origin vertex group
     t: GroupElement            # stable letter g_y
     r1: GroupElement           # a t^-1 b t, the period of the z_j
-    n: int                     # |alpha(y)|, index of iota_y
-    m: int                     # |alpha(bar y)|, index of iota_bar-y
     N: int                     # <a^N> = <a> cap t^-2 <b> t^2
     L: int
     z: tuple                   # z_1 .. z_9
@@ -79,7 +77,6 @@ def _ce2_data(group: GbsGroup, e: int, L: int) -> Ce2Data:
     r1 = a * tinv * b * t
     r2 = a * tinv * tinv * b * t * t
     data = Ce2Data(group=group, edge=e, a=a, b=b, t=t, r1=r1,
-                   n=abs(graph.alpha[e]), m=abs(graph.alpha[e ^ 1]),
                    N=big_N(graph, group.spanning, e), L=L,
                    z=(r1 * r2 * r1 ** L,))
     return data._replace(z=tuple(averaging_elements(data, CE2_COUNT)))
@@ -270,9 +267,10 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     certified before the first failure, of the number of f outside S'_j
     with at most word_bound edge letters and trailing exponent within
     exponent_bound.  The S'_j are disjoint and depend on letters alone, so
-    one pass over the skeletons of the f gives each its j, or none.  With
-    no conjugator, or no g within the bounds, there is nothing to prove,
-    and it raises.
+    one pass over the skeletons of the f gives each its j, or none.  The
+    skeletons of g and f are those of one ``closed_words`` walk to
+    max(L, word_bound) filtered by length (its preorder is lexicographic).
+    With no conjugator, or no g within the bounds, it raises.
     """
     if word_bound < 0 or exponent_bound < 0:
         raise PingPongError("word and exponent bounds must be nonnegative")
@@ -283,13 +281,16 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     h = group.geodesic_items(group.graph.terminus[data.edge])
     ks = range(-exponent_bound, exponent_bound + 1)
 
-    skeletons = [(s, _outside_cyclic(s, ks, h, data.N, alpha))
-                 for s in map(list, closed_words(group, data.L, 0))]
+    skeletons, in_sj = [], Counter()
+    for w in closed_words(group, max(data.L, word_bound), 0):
+        if len(w) // 2 <= data.L:
+            s = list(w)
+            skeletons.append((s, _outside_cyclic(s, ks, h, data.N, alpha)))
+        if len(w) // 2 <= word_bound:
+            in_sj[_sj_index(w[1::2], data.edge)] += 1
     g_count = sum(len(kept) for _, kept in skeletons)
     if g_count == 0:
         raise PingPongError(f"no g outside <a^{data.N}> within the bounds")
-    in_sj = Counter(_sj_index(f[1::2], data.edge)
-                    for f in closed_words(group, word_bound, 0))
     f_count = in_sj.total() * len(ks)
     pools = [f_count - in_sj[j] * len(ks) for j in range(len(data.z) + 1)]
 

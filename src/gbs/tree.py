@@ -11,7 +11,7 @@ Neighbours of g G_P: for every edge e with origin P and every residue
 rho in {0, ..., |alpha(bar e)| - 1}, the coset (g a_P^rho g_e) G_{t(e)}.
 Except for the parent (the back edge with residue 0), its key is g's with
 rho, e, 0 appended, canonical as it stands: these are the steps of the
-closed-word rule ``GbsGroup.steps``.
+closed-word rule ``GbsGroup.steps``, and a depth-d key has 2d + 1 items.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class TreeVertex(NamedTuple):
     vertex: int
     key: tuple
 
-    def rep_items(self):
-        """A representative path word (list) from the base, trailing exponent 0."""
-        return list(self.key)
-
 
 def coset_vertex(group: GbsGroup, items, vertex: int) -> TreeVertex:
     """Key the coset of the path word ``items`` (base -> vertex)."""
@@ -56,7 +52,7 @@ def base_vertex(group: GbsGroup) -> TreeVertex:
 
 def act(group: GbsGroup, g: GroupElement, v: TreeVertex) -> TreeVertex:
     """Left multiplication on cosets."""
-    items = wordcore.mul_items(list(g.items), v.rep_items(), group.graph.alpha)
+    items = wordcore.mul_items(list(g.items), list(v.key), group.graph.alpha)
     items[-1] = 0
     return TreeVertex(v.vertex, tuple(items))
 
@@ -68,37 +64,23 @@ def stabilizes(group: GbsGroup, g: GroupElement, v: TreeVertex) -> bool:
 
 
 class TreeBall:
-    """A radius-r ball around the base coset, BFS order, frontier flagged."""
+    """A radius-r ball around the base coset, in BFS order."""
 
     def __init__(self, group: GbsGroup, radius: int):
         self.group = group
         self.radius = radius
         self.vertices = []
-        self.depth = {}          # vertex -> (depth, index)
         self.edges = []          # (i, j, edge, residue)
-
-    def index(self, v: TreeVertex):
-        return self.depth[v][1]
-
-    def is_frontier(self, v: TreeVertex) -> bool:
-        return self.depth[v][0] == self.radius
-
-    def degree(self, v: TreeVertex) -> int:
-        i = self.index(v)
-        return sum(1 for a, b, _, _ in self.edges if a == i or b == i)
-
-    def interior_vertices(self):
-        return [v for v in self.vertices if not self.is_frontier(v)]
 
     def _export_columns(self):
         """Edge names by index, and each vertex's printed key (``path_string``
-        of its key) and depth.  ``ball`` appends (parent, child, e, rho) in
-        BFS order, and a child's key is its parent's with rho, e, 0 appended,
-        so its printed key is the parent's followed by a_P^rho (P the
-        parent's type) and g_e."""
+        of its key).  ``ball`` appends (parent, child, e, rho) in BFS order,
+        and a child's key is its parent's with rho, e, 0 appended, so its
+        printed key is the parent's followed by a_P^rho (P the parent's
+        type) and g_e."""
         graph = self.group.graph
         names = [graph.edge_name(e) for e in range(graph.n_edges)]
-        paths, depths = [""], [0]       # the base's path word is empty
+        paths = [""]                    # the base's path word is empty
         for a, _, e, rho in self.edges:
             step = f"g[{names[e]}]"
             if rho:
@@ -106,13 +88,12 @@ class TreeBall:
                 step = f"a[{graph.vertices[graph.origin[e]]}]{power}*{step}"
             path = paths[a]
             paths.append(f"{path}*{step}" if path else step)
-            depths.append(depths[a] + 1)
         paths[0] = "1"
-        return names, paths, depths
+        return names, paths
 
     def to_dot(self) -> str:
         graph = self.group.graph
-        names, keys, _ = self._export_columns()
+        names, keys = self._export_columns()
         lines = ["graph ball {"]
         for i, (v, key) in enumerate(zip(self.vertices, keys)):
             lines.append(f'  v{i} [label="{graph.vertices[v.vertex]} | {key}"];')
@@ -123,7 +104,7 @@ class TreeBall:
 
     def to_json_dict(self):
         graph = self.group.graph
-        names, keys, depths = self._export_columns()
+        names, keys = self._export_columns()
         return {
             "radius": self.radius,
             "vertices": [
@@ -131,11 +112,10 @@ class TreeBall:
                     "id": i,
                     "vertex": graph.vertices[v.vertex],
                     "key": key,
-                    "depth": d,
-                    "frontier": d == self.radius,
+                    "depth": len(v.key) // 2,
+                    "frontier": len(v.key) // 2 == self.radius,
                 }
-                for i, (v, key, d) in enumerate(
-                    zip(self.vertices, keys, depths))
+                for i, (v, key) in enumerate(zip(self.vertices, keys))
             ],
             "edges": [
                 {"source": a, "target": b, "edge": names[e], "residue": rho}
@@ -145,23 +125,24 @@ class TreeBall:
 
 
 def _bfs(group: GbsGroup, radius: int):
-    """Lazy BFS over the cosets around the base.  Yields (vertex, depth,
-    parent, edge, residue), the parent as its position in the yield order
-    (None, with edge and residue, at the base); vertices at depth
-    ``radius`` are not expanded.  A key's children are its steps under
-    ``GbsGroup.steps`` (module notes); no vertex lies ``n_vertices`` edges
-    from the base, so the rule's distance filter drops none."""
+    """Lazy BFS over the cosets around the base, yielding (vertex, parent,
+    edge, residue), the parent as its position in the yield order (None,
+    with edge and residue, at the base).  It stops at the first key of
+    2 radius + 1 items, all later ones having as many.  Children are the
+    steps of ``GbsGroup.steps`` (module notes); no vertex lies n_vertices
+    edges from the base, so the rule's distance filter drops none."""
     steps, remaining = group.steps, group.graph.n_vertices
     start = base_vertex(group)
-    yield start, 0, None, None, None
-    queue = [(start, 0)]            # grows while read, in yield order
-    for i, (v, d) in enumerate(queue):
-        if d < radius:
-            for e, w, residues in steps(v.vertex, v.key, remaining):
-                for rho in residues:
-                    child = TreeVertex(w, v.key[:-1] + (rho, e, 0))
-                    yield child, d + 1, i, e, rho
-                    queue.append((child, d + 1))
+    yield start, None, None, None
+    queue = [start]                 # grows while read, in yield order
+    for i, v in enumerate(queue):
+        if len(v.key) > 2 * radius:
+            return
+        for e, w, residues in steps(v.vertex, v.key, remaining):
+            for rho in residues:
+                child = TreeVertex(w, v.key[:-1] + (rho, e, 0))
+                yield child, i, e, rho
+                queue.append(child)
 
 
 def layer_sizes(group: GbsGroup):
@@ -207,11 +188,9 @@ def ball(group: GbsGroup, radius: int) -> TreeBall:
         raise GraphError("radius must be nonnegative")
     _check_ball_caps(group, radius)
     b = TreeBall(group, radius)
-    for w, d, parent, e, rho in _bfs(group, radius):
-        i = len(b.vertices)
+    for w, parent, e, rho in _bfs(group, radius):
         if parent is not None:
-            b.edges.append((parent, i, e, rho))
-        b.depth[w] = (d, i)
+            b.edges.append((parent, len(b.vertices), e, rho))
         b.vertices.append(w)
     return b
 
@@ -221,9 +200,9 @@ def moved_vertex(group: GbsGroup, g: GroupElement, max_radius: int):
     raises SearchExhausted when no moved vertex shows up within the radius."""
     if g.is_identity():
         raise WordError("the identity moves no vertex")
-    for v, d, *_ in _bfs(group, max_radius):
+    for v, *_ in _bfs(group, max_radius):
         if act(group, g, v) != v:
-            return v, d
+            return v, len(v.key) // 2
     raise SearchExhausted(
         f"no moved vertex within radius {max_radius}")
 

@@ -1,6 +1,8 @@
 """Brute-force oracles and word helpers that more than one test module
 uses.  Test modules import from here, not from each other."""
 
+from collections import Counter
+
 from gbs.pingpong import _head
 from gbs.words import GroupElement
 
@@ -35,6 +37,25 @@ def insert_pinch(group, items, rng):
     r1 = rng.randint(-5, 5)
     r2 = items[slot] - r1 - graph.alpha[e ^ 1] * s
     return items[:slot] + [r1, e, graph.alpha[e] * s, e ^ 1, r2] + items[slot + 1:]
+
+
+def tree_depths(ball):
+    """Each vertex's BFS depth in a ``tree.TreeBall``, counted over its
+    edges: the base's is 0 and a child's its parent's + 1.  Every vertex
+    but the base is the child of exactly one edge, listed after its
+    parent's."""
+    depths = [0] + [None] * (len(ball.vertices) - 1)
+    for parent, child, _, _ in ball.edges:
+        assert depths[child] is None and depths[parent] is not None
+        depths[child] = depths[parent] + 1
+    assert None not in depths
+    return depths
+
+
+def tree_degrees(ball):
+    """Each vertex's degree in a ``tree.TreeBall``, by index, counted over
+    its edges."""
+    return Counter(i for a, b, _, _ in ball.edges for i in (a, b))
 
 
 def ball_elements(ball):

@@ -22,7 +22,7 @@ def ce2_bs23(bs23):
 
 def test_build_ce2_fields(bs23, ce2_bs23):
     d = ce2_bs23
-    assert (d.n, d.m, d.N, d.L) == (3, 2, 9, 2)
+    assert (d.N, d.L) == (9, 2)
     a, t = d.a, d.t
     r1 = a * t.inverse() * a * t
     r2 = a * t.inverse() ** 2 * a * t ** 2
@@ -141,6 +141,25 @@ def test_pairs_checked_skips_f_in_Sj(bs23):
     assert rep.passed and rep.certified == rep.g_count * 9
     assert pools[0] < len(fs) and pools[1:] == [len(fs)] * 8
     assert rep.pairs_checked == rep.g_count * sum(pools)
+
+
+@pytest.mark.parametrize("big_l, word_bound", [(0, 3), (3, 1), (2, 2)])
+def test_one_closed_word_walk_per_proof(bs23, monkeypatch, big_l, word_bound):
+    """One ``closed_words`` walk, to max(L, word_bound), gives both the g
+    skeletons and the f pool, each the whole of its own bound's walk."""
+    calls = []
+
+    def counting(group, max_edges, exp_bound):
+        calls.append(max_edges)
+        return closed_words(group, max_edges, exp_bound)
+
+    data = pingpong.build_ce2(bs23, "y", big_l)
+    monkeypatch.setattr(pingpong, "closed_words", counting)
+    rep = pingpong.verify_pingpong(data, word_bound, 1)
+    assert calls == [max(big_l, word_bound)]
+    assert rep.g_count + rep.excluded_g == \
+        sum(1 for _ in closed_words(bs23, big_l, 1))
+    assert rep.f_count == sum(1 for _ in closed_words(bs23, word_bound, 1))
 
 
 def test_verify_negative_control(ce2_bs23):

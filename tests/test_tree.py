@@ -14,6 +14,7 @@ from gbs.words import GbsGroup
 from gbs.words import WordError, closed_words, path_string, random_closed_word
 
 from conftest import bs_text, random_graph_text
+from oracles import tree_degrees, tree_depths
 
 
 def test_ball_radius_zero(bs23):
@@ -27,14 +28,14 @@ def test_ball_radius_zero(bs23):
 def test_ball_sizes_bs23(bs23):
     b = tree.ball(bs23, 1)
     assert len(b.vertices) == 6
-    assert b.degree(b.vertices[0]) == 5
+    assert tree_degrees(b)[0] == 5
     b3 = tree.ball(bs23, 3)
     assert len(b3.vertices) == 1 + 5 + 20 + 80
 
 
 def test_gbs2_center_degree(gbs2):
     b = tree.ball(gbs2, 1)
-    assert b.degree(b.vertices[0]) == 3 + 5     # |alpha(~w)| + |alpha(~y)|
+    assert tree_degrees(b)[0] == 3 + 5     # |alpha(~w)| + |alpha(~y)|
 
 
 def _tree_counts(group, radius):
@@ -63,7 +64,8 @@ def test_balls_are_trees(bs23, gbs2, two_vertex, chain3):
     for group in (bs23, gbs2, two_vertex, chain3):
         for r in range(5):
             b = tree.ball(group, r)
-            got = Counter((b.depth[v][0], v.vertex) for v in b.vertices)
+            got = Counter((d, v.vertex)
+                          for d, v in zip(tree_depths(b), b.vertices))
             assert got == _tree_counts(group, r), (group.graph.vertices, r)
 
 
@@ -84,7 +86,7 @@ def test_layer_sizes_match_ball_oracles(bs23, gbs2, two_vertex, chain3):
             assert sum(sizes[:r + 1]) == oracle(group.graph, group.base, r)
         b = tree.ball(group, 4)
         assert sizes[:5] == [n for _, n in sorted(
-            Counter(b.depth[v][0] for v in b.vertices).items())]
+            Counter(tree_depths(b)).items())]
     assert list(tree.layer_sizes(GbsGroup.from_text("vertex P\n"))) == [1]
 
 
@@ -112,11 +114,14 @@ def test_interior_degrees(bs23, gbs2, two_vertex):
     for group in (bs23, gbs2, two_vertex):
         graph = group.graph
         b = tree.ball(group, 3)
-        assert b.interior_vertices()
-        for v in b.interior_vertices():
+        degrees = tree_degrees(b)
+        interior = [(i, v) for i, (v, d) in enumerate(
+            zip(b.vertices, tree_depths(b))) if d < 3]
+        assert interior
+        for i, v in interior:
             expected = sum(abs(graph.alpha[e ^ 1])
                            for e in graph.edges_from(v.vertex))
-            assert b.degree(v) == expected
+            assert degrees[i] == expected
 
 
 def test_covering_endpoint_formulas(bs23, gbs2):
@@ -135,7 +140,7 @@ def test_covering_endpoint_formulas(bs23, gbs2):
         for i, j, e, rho in b.edges:
             u = b.vertices[i]     # type o(e)
             w = b.vertices[j]     # type t(e)
-            h = u.rep_items()
+            h = list(u.key)
             h[-1] = rho
             if e % 2 == 0:
                 # edge coset h iota_e: o = h G_{o(e)}, t = (h g_e) G_{t(e)}
@@ -201,13 +206,21 @@ def test_stabilizes(bs23):
     assert tree.stabilizes(bs23, a ** 2, tv)   # t^-1 a^2 t = a^3
 
 
+def _assert_bfs_depth(group, v, d):
+    """``moved_vertex``'s depth d of v is v's BFS depth in the ball."""
+    b = tree.ball(group, d)
+    assert tree_depths(b)[b.vertices.index(v)] == d
+
+
 def test_moved_vertex_examples(bs23):
     a = bs23.vertex_generator("P")
     t = bs23.edge_generator("y")
     v, d = tree.moved_vertex(bs23, a, 10)
     assert d == 1
+    _assert_bfs_depth(bs23, v, d)
     v, d = tree.moved_vertex(bs23, t, 10)
     assert d == 0
+    _assert_bfs_depth(bs23, v, d)
     with pytest.raises(WordError):
         tree.moved_vertex(bs23, bs23.identity(), 10)
 
@@ -223,8 +236,9 @@ def test_faithfulness_random_words(bs23, gbs2):
     for group in (bs23, gbs2):
         for _ in range(60):
             g = random_closed_word(group, rng, 6, 8)
-            _, d = tree.moved_vertex(group, g, 2 * g.edge_length + 2)
+            v, d = tree.moved_vertex(group, g, 2 * g.edge_length + 2)
             assert d <= 2 * g.edge_length + 2
+            _assert_bfs_depth(group, v, d)
 
 
 def _joint_stabilizer_implies(group, cover, target, words):
@@ -268,7 +282,7 @@ def test_stabilizer_cover_amalgam_needs_proper_subgroup():
 
 def _vertex_group_power(group, v, k):
     """h a^k h^-1, a^k the k-th power of the vertex generator of v = h G."""
-    rep = v.rep_items()
+    rep = list(v.key)
     return group.element(rep[:-1] + [k] + wordcore.inv_items(rep)[1:])
 
 
@@ -310,11 +324,12 @@ def test_exports(bs23):
 
 
 def test_exports_match_vertex_oracles(bs23, gbs2, two_vertex, chain3):
-    """Each exported key is ``path_string`` of the vertex's key, each depth
-    and frontier flag the ones ``ball`` records, and each dot label
-    "<type> | <key>": on the four fixtures at radii 0-4 and on 20 seeded
-    random graphs, each at the largest radius up to 3 whose ball has at
-    most 2,000 vertices."""
+    """Each vertex's key has 2d + 1 items, d its BFS depth counted over the
+    ball's edges; each exported key is ``path_string`` of the vertex's key,
+    each depth d, each frontier flag whether d is the radius, and each dot
+    label "<type> | <key>": on the four fixtures at radii 0-4 and on 20
+    seeded random graphs, each at the largest radius up to 3 whose ball has
+    at most 2,000 vertices."""
     rng = random.Random(31)
     cases = [(g, r) for g in (bs23, gbs2, two_vertex, chain3)
              for r in range(5)]
@@ -326,6 +341,9 @@ def test_exports_match_vertex_oracles(bs23, gbs2, two_vertex, chain3):
     for group, r in cases:
         graph = group.graph
         b = tree.ball(group, r)
+        depths = tree_depths(b)
+        assert [len(v.key) for v in b.vertices] == \
+            [2 * d + 1 for d in depths], (graph.vertices, r)
         rows = b.to_json_dict()["vertices"]
         labels = re.findall(r'^  v(\d+) \[label="(.*)"\];$', b.to_dot(), re.M)
         assert len(rows) == len(labels) == len(b.vertices)
@@ -333,6 +351,6 @@ def test_exports_match_vertex_oracles(bs23, gbs2, two_vertex, chain3):
             name = graph.vertices[v.vertex]
             key = path_string(graph, group.base, v.key)
             assert row == {"id": i, "vertex": name, "key": key,
-                           "depth": b.depth[v][0],
-                           "frontier": b.is_frontier(v)}, (graph.vertices, r)
+                           "depth": depths[i],
+                           "frontier": depths[i] == r}, (graph.vertices, r)
             assert label == (str(i), f"{name} | {key}")
