@@ -498,6 +498,9 @@ def ps_inequality_check(trials: int, dim: int, seed: int = 42,
     T with (1-q) T (1-q) = 0 and a coordinate projection q."""
     import numpy as np
 
+    if trials < 1 or dim < 1:
+        raise OpsimError(
+            f"trials and dim must be positive, got {trials!r} and {dim!r}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
@@ -512,7 +515,7 @@ def ps_inequality_check(trials: int, dim: int, seed: int = 42,
         xi = rng.standard_normal(dim)
         xi /= np.linalg.norm(xi)
         lhs = abs(float(xi @ (t @ xi)))
-        tnorm = float(np.max(np.abs(np.linalg.eigvalsh(t)))) if dim else 0.0
+        tnorm = float(np.max(np.abs(np.linalg.eigvalsh(t))))
         rhs = 2.0 * tnorm * float(np.linalg.norm(q @ xi))
         if lhs > rhs + slack:
             passed = False

@@ -18,7 +18,6 @@ c, d in {a, e} protecting the junctions.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
@@ -104,11 +103,6 @@ def averaging_elements(data: Ce2Data, count: int):
     while len(out) < count:
         out.append(data.r1 * out[-1])
     return out
-
-
-def _head(letters, edge: int, count: int):
-    """The first ``count`` letters of ``letters`` from the pair of ``edge``."""
-    return list(islice(filter({edge, edge ^ 1}.__contains__, letters), count))
 
 
 def in_Sj(f: GroupElement, data: Ce2Data, j: int) -> bool:
@@ -239,29 +233,27 @@ def verify_pingpong(data: Ce2Data, word_bound: int,
     share their first i letters with their exponents iff their paths share
     their first i edges, and a product cancels the common start of the
     first path reversed and the second translated.  Let u = r1^(j-1) and
-    let H be the position of z_1's first y-letter.  ``_failing_powers``
-    forms r1^(j-1) z_1 as r1 (r1^(j-2) z_1) from ``data.r1``, one
-    product per j, and requires that it equal z_j, that r1's y-signs be
-    exactly (-, +), and that l_y(z_j) = l_y(z_1) + 2(j - 1).  Since
-    l_y(u) <= 2(j - 1) and a pinched y-letter takes one from each side,
-    u keeps every y-letter, with signs (-+)^(j-1), and the junction
-    u | z_1 cancels no y-letter: only letters of z_1 before its H-th.
-    The premise on g: d1 <= n - H and d <= min(m, n) - H, the bound
-    above with H for W (every skeleton proven by the reach bound meets
-    it, as H < W).  Then v_1 and v_1^-1
-    both start with z_1's first H letters, exponents included, so the
-    cancellation the junction reads is the same: u v_1 cancels what u z_1
-    does, and, since d(X, Y) = d(Y^-1, X^-1) for the pinch count of X Y,
-    the right junction of u v_1 u^-1 mirrors the left junction of
-    u v_1^-1.  Neither reaches a y-letter of v_1, and v_1 has one (it lies
-    in S'_1), so the two stay apart: v_j = u v_1 u^-1 has y-signs
-    (-+)^(j-1), then v_1's, then (-+)^(j-1), and likewise v_j^-1 with
-    v_1^-1's.  If v_1 and v_1^-1 lie in S'_1, then v_j and v_j^-1 lie in
-    S'_j, and (j, g) holds (Britton's lemma, as above).  A j whose
-    junction holds while every g meets the premise is decided whole, with
-    one record for all its g.  A j whose junction fails, and a j where some
-    g's premise fails, is read whole, as at j = 1, so every (j, g) gets
-    the verdict of that reading.
+    W the width above for z_1.  ``_failing_powers`` forms r1^(j-1) z_1 as
+    r1 (r1^(j-2) z_1) from ``data.r1``, one product per j, and requires
+    that it equal z_j, that r1's y-signs be exactly (-, +), and that
+    l_y(z_j) = l_y(z_1) + 2(j - 1).  Since l_y(u) <= 2(j - 1) and a
+    pinched y-letter takes one from each side, u keeps every y-letter,
+    with signs (-+)^(j-1), and the junction u | z_1 cancels no y-letter:
+    only letters of z_1 before its first y-letter, so before its W-th
+    letter.  The hypothesis on g: z_1's own windows proved (1, g), that
+    is, no k read a sign window of v_1 (d1 <= n - W and d <= min(m, n) -
+    W).  Then v_1 and v_1^-1 both start with z_1's first W letters,
+    exponents included, so the cancellation the junction reads is the
+    same: u v_1 cancels what u z_1 does, and, since d(X, Y) = d(Y^-1,
+    X^-1) for the pinch count of X Y, the right junction of u v_1 u^-1
+    mirrors the left junction of u v_1^-1.  Neither reaches a y-letter of
+    v_1, and v_1 has one (it lies in S'_1), so the two stay apart: v_j =
+    u v_1 u^-1 has y-signs (-+)^(j-1), then v_1's, then (-+)^(j-1), and
+    likewise v_j^-1 with v_1^-1's.  If v_1 and v_1^-1 lie in S'_1, then
+    v_j and v_j^-1 lie in S'_j, and (j, g) holds (Britton's lemma, as
+    above).  A j whose junction holds while no (1, g) read a window is
+    decided whole, with one record for all its g.  Any other j is read
+    whole, as at j = 1, so every (j, g) gets the verdict of that reading.
 
     word_bound only sizes ``pairs_checked``: the sum, over the (j, g)
     certified before the first failure, of the number of f outside S'_j
@@ -347,47 +339,38 @@ def _failing_powers(data: Ce2Data, skeletons):
     s with its trailing exponents ks, in that order: the number of leading
     k in ks proven for every f, the first failing (k, power of v = z_j s
     a^k z_j^-1) or None, and the number of k whose seam depth was read.
-    Every skeleton is read at j = 1.  When each was proven there with z_1's
-    head kept, a j >= 2 whose junction holds yields one record (j, None,
+    Every skeleton is read at j = 1.  When no skeleton read a sign window
+    of v there, a j >= 2 whose junction holds yields one record (j, None,
     the number of all k, None, 0) for all its skeletons; any other j reads
     every skeleton (see ``verify_pingpong``)."""
     alpha = data.group.graph.alpha
-    pair = data.edge // 2
-    z1 = list(data.z[0].items)
-    head = next((i for i, x in enumerate(z1[1::2], 1) if x // 2 == pair),
-                None)
-    read = _skeleton_reader(data, 1, data.z[0], head)
-    every = True
-    for s, ks in skeletons:
-        proven, failure, reads, keeps = read(s, ks)
-        every = every and keeps
-        yield 1, s, proven, failure, reads
-
     r1 = list(data.r1.items)
-    periodic = every and (_head(r1[1::2], data.edge, 3)
-                          == [data.edge ^ 1, data.edge])
-    y_length = sum(x // 2 == pair for x in z1[1::2])
+    periodic = [x for x in r1[1::2] if x // 2 == data.edge // 2] == [
+        data.edge ^ 1, data.edge]
+    y_length = data.z[0].edge_letter_count(data.edge)
     total = sum(len(ks) for _, ks in skeletons)
-    zj = z1
-    for j, z in enumerate(data.z[1:], 2):
-        if periodic:
+    zj = list(data.z[0].items)
+    for j, z in enumerate(data.z, 1):
+        if j > 1 and periodic:
             zj = wordcore.mul_items(r1, zj, alpha)   # r1^(j-1) z_1
-            y_length += 2
-            if (tuple(zj) == z.items
-                    and sum(x // 2 == pair for x in zj[1::2]) == y_length):
+            if (tuple(zj) == z.items and z.edge_letter_count(data.edge)
+                    == y_length + 2 * (j - 1)):
                 yield j, None, total, None, 0
                 continue
         read = _skeleton_reader(data, j, z)
         for s, ks in skeletons:
-            yield (j, s) + read(s, ks)[:3]
+            proven, failure, reads, windowed = read(s, ks)
+            if windowed and j == 1:
+                periodic = False
+            yield j, s, proven, failure, reads
 
 
-def _skeleton_reader(data: Ce2Data, j: int, z: GroupElement, head=None):
-    """``read(s, ks)`` -> (proven, failure, reads, keeps) for the conjugator
-    z = z_j and a skeleton s with its trailing exponents ks: the record of
-    ``_failing_powers``, one product z s, and whether every k is proven
-    with both seams of v = z s a^k z^-1 at most ``_depth_bound`` for the
-    first ``head`` letters of z (False when head is None)."""
+def _skeleton_reader(data: Ce2Data, j: int, z: GroupElement):
+    """``read(s, ks)`` -> (proven, failure, reads, windowed) for the
+    conjugator z = z_j and a skeleton s with its trailing exponents ks: the
+    record of ``_failing_powers``, one product z s, and whether some k had
+    a seam depth past ``_depth_bound`` and read the sign windows of v = z s
+    a^k z^-1."""
     alpha = data.group.graph.alpha
     zj, zj_inv = list(z.items), list(z.inverse().items)
     width = _pattern_width(zj[1::2], data.edge, j)
@@ -396,23 +379,19 @@ def _skeleton_reader(data: Ce2Data, j: int, z: GroupElement, head=None):
     def read(s, ks):
         w = wordcore.mul_items(zj, s, alpha)
         limit = _depth_bound(zj, s, w, width)
-        deepest = _seam_reach(w, zj_inv)
-        reads = 0
-        if deepest > limit:
-            letters = w[1::2]
-            powers = {}             # seam depth past limit -> failing power
-            deepest = 0
-            for i, k in enumerate(ks):
-                d = _seam_depth(w, k, zj_inv, alpha)[0]
-                deepest = max(deepest, d)
-                if d > limit:
-                    if d not in powers:
-                        powers[d] = _failing_power(
-                            letters[:len(letters) - d] + tail[d:], data.edge, j)
-                    if powers[d] is not None:
-                        return i, (k, powers[d]), i + 1, False
-            reads = len(ks)
-        return len(ks), None, reads, deepest <= _depth_bound(zj, s, w, head)
+        if _seam_reach(w, zj_inv) <= limit:
+            return len(ks), None, 0, False
+        letters = w[1::2]
+        powers = {}                 # seam depth past limit -> failing power
+        for i, k in enumerate(ks):
+            d = _seam_depth(w, k, zj_inv, alpha)[0]
+            if d > limit:
+                if d not in powers:
+                    powers[d] = _failing_power(
+                        letters[:len(letters) - d] + tail[d:], data.edge, j)
+                if powers[d] is not None:
+                    return i, (k, powers[d]), i + 1, True
+        return len(ks), None, len(ks), bool(powers)
 
     return read
 

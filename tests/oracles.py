@@ -2,8 +2,8 @@
 uses.  Test modules import from here, not from each other."""
 
 from collections import Counter
+from itertools import islice
 
-from gbs.pingpong import _head
 from gbs.words import GroupElement
 
 
@@ -62,6 +62,11 @@ def ball_elements(ball):
     """The ``GroupElement``s of an ``opsim.Ball``, in index order."""
     return [GroupElement(ball.group, items, _canonical=True)
             for items in ball.index]
+
+
+def _head(letters, edge, count):
+    """The first ``count`` letters of ``letters`` from the pair of ``edge``."""
+    return list(islice(filter({edge, edge ^ 1}.__contains__, letters), count))
 
 
 def in_Ui(f, data, i):

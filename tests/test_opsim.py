@@ -672,3 +672,11 @@ def test_ps_inequality(bs23):
     assert rep.max_ratio <= 1.0 + 1e-9
     rep0 = opsim.ps_inequality_check(5, 1, seed=4)
     assert rep0.passed
+
+
+@pytest.mark.parametrize("trials, dim", [(5, 0), (0, 8), (-2, 4), (2, -1)])
+def test_ps_inequality_refuses_empty_checks(trials, dim):
+    """No trial or no dimension would pass with nothing checked, and a
+    negative dim would escape as numpy's ValueError: both are refused."""
+    with pytest.raises(opsim.OpsimError, match="must be positive"):
+        opsim.ps_inequality_check(trials, dim)

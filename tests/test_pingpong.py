@@ -620,6 +620,16 @@ def test_junction_proves_every_stored_j(request, monkeypatch, name,
     assert len(reads) == 1
 
 
+def _skeletons(case, exp_bound):
+    """The g skeletons of ``case`` with their trailing exponents within
+    ``exp_bound`` outside <a^N>, as ``verify_pingpong`` lists them."""
+    group = case.group
+    h = group.geodesic_items(group.graph.terminus[case.edge])
+    ks = range(-exp_bound, exp_bound + 1)
+    return [(s, pingpong._outside_cyclic(s, ks, h, case.N, group.graph.alpha))
+            for s in map(list, closed_words(group, case.L, 0))]
+
+
 def _bound_matches_kernel(case, exp_bound):
     """Check the window bound of the per-j reading against v's full
     letters, v = z_j s a^k z_j^-1 formed by two kernel products, for every
@@ -630,12 +640,8 @@ def _bound_matches_kernel(case, exp_bound):
     ``_failing_powers`` against those records.  Returns a Counter of
     (certified by the bound, failing power), and the number of j read per
     skeleton though their junction holds (``_junction_matches_per_j``)."""
-    group, edge = case.group, case.edge
-    alpha = group.graph.alpha
-    h = group.geodesic_items(group.graph.terminus[edge])
-    ks = range(-exp_bound, exp_bound + 1)
-    skeletons = [(s, pingpong._outside_cyclic(s, ks, h, case.N, alpha))
-                 for s in map(list, closed_words(group, case.L, 0))]
+    edge, alpha = case.edge, case.group.graph.alpha
+    skeletons = _skeletons(case, exp_bound)
     per_j = list(_per_j_powers(case, skeletons))
     records = iter(per_j)
     outcomes = Counter()
@@ -688,8 +694,8 @@ def _junction_matches_per_j(case, skeletons, per_j):
     None) it stands for; a summary comes only from a j >= 2 whose junction
     holds, and reads no seam.  Every other j reads every skeleton, with
     the per-j reading's seam reads.  Returns the number of j >= 2 whose
-    junction holds but which are read whole, because some skeleton does
-    not extend from j = 1."""
+    junction holds but which are read whole, because some (1, g) read a
+    sign window of v."""
     junction = _junction_holds(case)
     records, fallbacks = [], set()
     for record in pingpong._failing_powers(case, skeletons):
@@ -756,6 +762,44 @@ def test_window_bound_matches_kernel_on_fixtures(request, name):
     assert kinds["perturbed"] >= {(True, True), (False, False)}
     assert kinds["cut"] >= {(True, True), (False, True), (False, False)}
     assert fallbacks == 16
+
+
+@pytest.mark.parametrize("name, edge", [("bs23", "y"), ("bs23", "~y"),
+                                        ("gbs2", "y")])
+def test_junction_needs_z1_windows(request, name, edge):
+    """The family z_j = r1^(j-1) z_1 from the cut conjugator z_1 = r1 a
+    t^-1 b t^-1 at L = 2, on the skeletons whose (1, g) all pass: the
+    junction holds at every j >= 2, yet some (1, g) is proven only by
+    reading a sign window of v, its seam past z_1's pattern width W but
+    short of z_1's first y-letter.  The lemma's one hypothesis on g is
+    that z_1's own windows proved (1, g), so no j is summarised: every j
+    is read whole, with the per-j reading's records, and every (j, g)
+    passes."""
+    group = request.getfixturevalue(name)
+    data = pingpong.build_ce2(group, edge, 2)
+    case = data._replace(z=_cut_conjugators(data)[:1])
+    case = case._replace(z=tuple(pingpong.averaging_elements(case, 9)))
+    alpha = group.graph.alpha
+    z1, z1_inv = list(case.z[0].items), list(case.z[0].inverse().items)
+    width = pingpong._pattern_width(z1[1::2], case.edge, 1)
+    read = pingpong._skeleton_reader(case, 1, case.z[0])
+    kept, windowed = [], []
+    for s, ks in _skeletons(case, 6):
+        _, failure, _, flag = read(s, ks)
+        if failure is None:
+            w = wordcore.mul_items(z1, s, alpha)
+            limit = pingpong._depth_bound(z1, s, w, width)
+            assert flag == any(_seam_depth(w, k, z1_inv, alpha)[0] > limit
+                               for k in ks)
+            kept.append((s, ks))
+            windowed.append(flag)
+    assert any(windowed)
+    assert _junction_holds(case) == set(range(2, len(case.z) + 1))
+    per_j = list(_per_j_powers(case, kept))
+    assert all(record[3] is None for record in per_j)
+    assert all(record[1] is not None
+               for record in pingpong._failing_powers(case, kept))
+    assert _junction_matches_per_j(case, kept, per_j) == len(case.z) - 1
 
 
 def test_window_bound_matches_kernel_on_random_graphs():
