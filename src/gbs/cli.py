@@ -123,10 +123,7 @@ def _dispatch(args) -> int:
 
     if args.command == "tree":
         b = tree.ball(group, args.radius)
-        if args.format == "dot":
-            sys.stdout.write(b.to_dot())
-        else:
-            print(json.dumps(b.to_json_dict()))
+        sys.stdout.write(b.to_dot() if args.format == "dot" else b.to_json())
         return 0
 
     if args.command == "pingpong":

@@ -43,6 +43,11 @@ class ParseError(GraphError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def _check_ident(name):
+    if not (isinstance(name, str) and _IDENT.match(name)):
+        raise GraphError(f"bad identifier {name!r}")
+
+
 class GbsGraph:
     """Immutable graph of groups with Z vertex/edge groups."""
 
@@ -52,10 +57,13 @@ class GbsGraph:
     def __init__(self, vertices, edges):
         """``vertices``: iterable of names.  ``edges``: iterable of
         ``(name, origin, terminus, alpha_fwd, alpha_back)`` tuples, one per
-        edge pair, in declaration order."""
+        edge pair, in declaration order.  Names are identifiers, as in the
+        text format, so every export can print them unquoted."""
         vertices = tuple(vertices)
         if not vertices:
             raise GraphError("graph must have at least one vertex")
+        for v in vertices:
+            _check_ident(v)
         if len(set(vertices)) != len(vertices):
             raise GraphError("duplicate vertex name")
         self.vertices = vertices
@@ -63,6 +71,7 @@ class GbsGraph:
 
         names, orig, term, alph = [], [], [], []
         for name, o, t, af, ab in edges:
+            _check_ident(name)
             if name in names:
                 raise GraphError(f"duplicate edge name {name!r}")
             if o not in self._vertex_index:

@@ -97,31 +97,32 @@ class TreeBall:
         lines = ["graph ball {"]
         for i, (v, key) in enumerate(zip(self.vertices, keys)):
             lines.append(f'  v{i} [label="{graph.vertices[v.vertex]} | {key}"];')
+        del keys                    # copied into the lines: free them now
         for a, b, e, rho in self.edges:
             lines.append(f'  v{a} -- v{b} [label="{names[e]}:{rho}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self):
-        graph = self.group.graph
+    def to_json(self) -> str:
+        """``json.dumps`` of {"radius", "vertices": [{"id", "vertex", "key",
+        "depth", "frontier"}], "edges": [{"source", "target", "edge",
+        "residue"}]} plus a newline, written row by row.  Names are
+        identifiers (``GbsGraph``) and keys are words over them, so no
+        string needs escaping."""
+        vertex_names = self.group.graph.vertices
         names, keys = self._export_columns()
-        return {
-            "radius": self.radius,
-            "vertices": [
-                {
-                    "id": i,
-                    "vertex": graph.vertices[v.vertex],
-                    "key": key,
-                    "depth": len(v.key) // 2,
-                    "frontier": len(v.key) // 2 == self.radius,
-                }
-                for i, (v, key) in enumerate(zip(self.vertices, keys))
-            ],
-            "edges": [
-                {"source": a, "target": b, "edge": names[e], "residue": rho}
-                for a, b, e, rho in self.edges
-            ],
-        }
+        frontier = 2 * self.radius + 1          # key length at the radius
+        vertices = ", ".join([
+            f'{{"id": {i}, "vertex": "{vertex_names[v.vertex]}", '
+            f'"key": "{key}", "depth": {len(v.key) // 2}, '
+            f'"frontier": {"true" if len(v.key) == frontier else "false"}}}'
+            for i, (v, key) in enumerate(zip(self.vertices, keys))])
+        del keys                    # copied into the rows: free them now
+        edges = ", ".join([
+            f'{{"source": {a}, "target": {b}, "edge": "{names[e]}", '
+            f'"residue": {rho}}}' for a, b, e, rho in self.edges])
+        return (f'{{"radius": {self.radius}, "vertices": [{vertices}], '
+                f'"edges": [{edges}]}}\n')
 
 
 def _bfs(group: GbsGroup, radius: int):

@@ -22,9 +22,10 @@ from gbs import wordcore
 from gbs.graphs import (GbsGraph, GraphError, SpanningData, parse_graph,
                         paths_from)
 
-# Longest edge length a factor power in the word grammar may produce.  The
-# bound |N| * edge_length(factor) is checked before the power is built, so
-# g[y]^N with a huge N fails at once instead of exhausting memory.
+# Most edge letters the factors of a word in the word grammar may join to.
+# Each factor's count (|N| times its atom's for g[y]^N) is checked before
+# the factor is built, so g[y]^N with a huge N, or many such factors, fail
+# at once instead of exhausting memory.
 MAX_EDGE_LENGTH = 100_000
 
 
@@ -145,20 +146,33 @@ class GbsGroup:
             raise WordError("word is not closed at the base vertex")
         return GroupElement(self, items)
 
-    def vertex_generator(self, vertex) -> GroupElement:
-        """a_P, transported to the base along the tree."""
-        geo = self.geodesic_items(self.graph.vertex_id(vertex))
-        back = wordcore.inv_items(geo)
-        return GroupElement(self, geo[:-1] + [1] + back[1:])
+    def _vertex_path(self, v: int):
+        """(items, slot): the path word geodesic * a_P * geodesic back for
+        the vertex P of index v, not canonical, and the slot of a_P's
+        exponent in it."""
+        geo = self.geodesic_items(v)
+        return geo[:-1] + [1] + wordcore.inv_items(geo)[1:], len(geo) - 1
 
-    def edge_generator(self, edge) -> GroupElement:
-        """g_y: geodesic to o(y), the letter y, geodesic back from t(y)."""
-        e = self.graph.edge_id(edge)
+    def _edge_path(self, e: int):
+        """The path word geodesic * e * geodesic back, all exponents 0 and
+        canonical: no pinch unless e is a tree edge, whose path word
+        backtracks to [0], returned as such."""
+        if e in self.spanning.tree_edges:
+            return [0]
         items = self.geodesic_items(self.graph.origin[e])
         items.append(e)
         items.extend(wordcore.inv_items(
             self.geodesic_items(self.graph.terminus[e])))
+        return items
+
+    def vertex_generator(self, vertex) -> GroupElement:
+        """a_P, transported to the base along the tree."""
+        items, _ = self._vertex_path(self.graph.vertex_id(vertex))
         return GroupElement(self, items)
+
+    def edge_generator(self, edge) -> GroupElement:
+        """g_y: geodesic to o(y), the letter y, geodesic back from t(y)."""
+        return GroupElement(self, self._edge_path(self.graph.edge_id(edge)))
 
     # -- membership ----------------------------------------------------------
 
@@ -194,12 +208,15 @@ class GbsGroup:
         """Parse ``word := '1' | factor ('*' factor)*`` with
         ``factor := atom ('^' int)?`` and ``atom := a[P] | g[~?y]``.
 
-        A power of a ``g[y]`` factor whose edge length could exceed
-        ``MAX_EDGE_LENGTH`` is rejected before it is built; powers of
-        ``a[P]`` keep their edge length and are not capped."""
+        The factors' path words are joined into one word, canonicalised
+        once.  A word whose joined factors could pass ``MAX_EDGE_LENGTH``
+        edge letters is rejected before the factor that passes it is
+        built; a power of ``a[P]`` has the edge letters of ``a[P]``."""
         text = text.strip()
-        factors = []
-        vertex_power = False    # the last factor is a power of some a[P]
+        graph = self.graph
+        word = [0]              # the factors before the last, joined
+        atom = slot = None      # the last factor is atom^k; slot is the
+        k = 1                   # exponent slot of an a[P] atom, else None
         powered = False         # the last factor already carries an exponent
         pos, n = 0, len(text)
         expect_atom = True
@@ -212,8 +229,10 @@ class GbsGroup:
             if star:
                 if expect_atom:
                     raise WordError("misplaced '*'")
+                _join_power(word, atom, slot, k)
                 expect_atom = True
-            elif power:
+                continue
+            if power:
                 if expect_atom or powered:
                     raise WordError("misplaced exponent")
                 try:
@@ -221,40 +240,49 @@ class GbsGroup:
                 except ValueError:      # beyond Python's int-string limit
                     raise WordError(
                         f"exponent too long at position {m.start(2)}") from None
-                length = factors[-1].edge_length
-                if not vertex_power and length * abs(k) > MAX_EDGE_LENGTH:
-                    raise WordError(
-                        f"power of a factor of edge length {length} exceeds "
-                        f"the edge-length cap {MAX_EDGE_LENGTH}")
-                factors[-1] = factors[-1] ** k
                 powered = True
-            elif one:
-                if not expect_atom:
-                    raise WordError("misplaced '1'")
-                factors.append(self.identity())
-                vertex_power = powered = False
-                expect_atom = False
             else:
                 if not expect_atom:
-                    raise WordError("missing '*' between factors")
+                    raise WordError("misplaced '1'" if one
+                                    else "missing '*' between factors")
+                slot = None
                 if atom_a:
-                    factors.append(self.vertex_generator(atom_a[2:-1]))
+                    atom, slot = self._vertex_path(
+                        graph.vertex_id(atom_a[2:-1]))
+                elif atom_g:
+                    atom = self._edge_path(graph.edge_id(atom_g[2:-1]))
                 else:
-                    factors.append(self.edge_generator(atom_g[2:-1]))
-                vertex_power, powered = bool(atom_a), False
-                expect_atom = False
+                    atom = [0]
+                k, powered, expect_atom = 1, False, False
+            letters = len(atom) // 2 * (1 if slot is not None else abs(k))
+            if len(word) // 2 + letters > MAX_EDGE_LENGTH:
+                raise WordError(
+                    f"word passes the edge-length cap {MAX_EDGE_LENGTH} "
+                    f"at position {m.start(m.lastindex)}")
         if expect_atom:
-            raise WordError("empty word" if not factors else "dangling '*'")
-        out = self.identity()
-        for f in factors:
-            out = out * f
-        return out
+            raise WordError("dangling '*'" if text else "empty word")
+        _join_power(word, atom, slot, k)
+        return GroupElement(self, word)
 
     def to_string(self, g: GroupElement) -> str:
         """Print in the word grammar; tree letters are suppressed (they are
         identity in the group), their exponents stay at their vertices."""
         return path_string(self.graph, self.base, g.items,
                            self.spanning.tree_edges)
+
+
+def _join_power(word, atom, slot, k):
+    """Append atom^k to the closed path word ``word``.  An a[P] atom takes
+    k in its exponent ``slot``; any other atom has exponent 0 at both ends,
+    so its power is |k| copies of it (of its inverse when k < 0) in a row,
+    and [0], a g[y] of a tree edge or '1', stays [0]."""
+    if slot is not None:
+        atom[slot], k = k, 1
+    elif k < 0:
+        atom, k = wordcore.inv_items(atom), -k
+    word[-1] += atom[0]
+    if len(atom) > 1:
+        word.extend(atom[1:] * k)
 
 
 def _seam_depth(w, k, b, alpha):

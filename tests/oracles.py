@@ -4,7 +4,7 @@ uses.  Test modules import from here, not from each other."""
 from collections import Counter
 from itertools import islice
 
-from gbs.words import GroupElement
+from gbs.words import MAX_EDGE_LENGTH, GroupElement, WordError, path_string
 
 
 def oracle_big_n(group, edge, bound=200):
@@ -75,3 +75,89 @@ def in_Ui(f, data, i):
     need = i * data.ly_rp1 + 2
     window = _head(data.w[i - 1].items[1::2], data.edge, need)
     return _head(f.items[1::2], data.edge, need) == window
+
+
+def tree_json_dict(ball):
+    """The rows of ``tree.TreeBall.to_json`` as a dict, each key printed by
+    ``path_string`` and each depth counted over the ball's edges."""
+    group = ball.group
+    graph = group.graph
+    depths = tree_depths(ball)
+    return {
+        "radius": ball.radius,
+        "vertices": [
+            {
+                "id": i,
+                "vertex": graph.vertices[v.vertex],
+                "key": path_string(graph, group.base, v.key),
+                "depth": depths[i],
+                "frontier": depths[i] == ball.radius,
+            }
+            for i, v in enumerate(ball.vertices)
+        ],
+        "edges": [
+            {"source": a, "target": b, "edge": graph.edge_name(e),
+             "residue": rho}
+            for a, b, e, rho in ball.edges
+        ],
+    }
+
+
+def from_string_by_factors(group, text):
+    """``GbsGroup.from_string`` one factor at a time: each factor a
+    ``GroupElement``, its power by repeated squaring, the factors
+    multiplied left to right.  Each power, not the whole word, is capped
+    (an a[P] power not at all)."""
+    text = text.strip()
+    factors = []
+    vertex_power = False    # the last factor is a power of some a[P]
+    powered = False         # the last factor already carries an exponent
+    pos, n = 0, len(text)
+    expect_atom = True
+    while pos < n:
+        m = group._TOKEN.match(text, pos)
+        if not m or m.group(6):
+            raise WordError(f"bad word syntax at position {pos}: "
+                            f"{text[pos:pos+10]!r}")
+        pos = m.end()
+        star, power, atom_a, atom_g, one = m.group(1, 2, 3, 4, 5)
+        if star:
+            if expect_atom:
+                raise WordError("misplaced '*'")
+            expect_atom = True
+        elif power:
+            if expect_atom or powered:
+                raise WordError("misplaced exponent")
+            try:
+                k = int(power[1:])
+            except ValueError:
+                raise WordError(
+                    f"exponent too long at position {m.start(2)}") from None
+            length = factors[-1].edge_length
+            if not vertex_power and length * abs(k) > MAX_EDGE_LENGTH:
+                raise WordError(
+                    f"power of a factor of edge length {length} exceeds "
+                    f"the edge-length cap {MAX_EDGE_LENGTH}")
+            factors[-1] = factors[-1] ** k
+            powered = True
+        elif one:
+            if not expect_atom:
+                raise WordError("misplaced '1'")
+            factors.append(group.identity())
+            vertex_power = powered = False
+            expect_atom = False
+        else:
+            if not expect_atom:
+                raise WordError("missing '*' between factors")
+            if atom_a:
+                factors.append(group.vertex_generator(atom_a[2:-1]))
+            else:
+                factors.append(group.edge_generator(atom_g[2:-1]))
+            vertex_power, powered = bool(atom_a), False
+            expect_atom = False
+    if expect_atom:
+        raise WordError("empty word" if not factors else "dangling '*'")
+    out = group.identity()
+    for f in factors:
+        out = out * f
+    return out

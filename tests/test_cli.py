@@ -96,6 +96,30 @@ def test_tree_formats():
     assert r.stdout.startswith("graph ball {")
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", BS23), ("check", GBS2),
+    ("indices", BS23), ("indices", GBS2),
+    ("tree", BS23, "--radius", "0", "--format", "json"),
+    ("tree", GBS2, "--radius", "3", "--format", "json"),
+    ("tree", str(FIXTURES / "chain3.gbs"), "--radius", "2", "--format",
+     "json"),
+    ("pingpong", BS23, "--edge", "y", "-L", "1", "--word-bound", "1",
+     "--exp-bound", "2"),
+    ("pingpong", GBS2, "--edge", "~y", "-L", "2", "--word-bound", "1",
+     "--exp-bound", "1"),
+], ids=["check-bs23", "check-gbs2", "indices-bs23", "indices-gbs2",
+        "tree-bs23-r0", "tree-gbs2-r3", "tree-chain3-r2", "pingpong-bs23",
+        "pingpong-gbs2"])
+def test_json_commands_print_one_json_line(argv, capsys):
+    """Each JSON command prints exactly one newline-terminated line that
+    ``json.loads`` accepts, whether ``json.dumps`` or a hand-written
+    formatter wrote it."""
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1, argv
+    assert isinstance(json.loads(out), dict)
+
+
 def test_pingpong_cli():
     r = run("pingpong", BS23, "--edge", "y", "-L", "1",
             "--word-bound", "1", "--exp-bound", "2")
@@ -141,6 +165,9 @@ def test_exit_codes(tmp_path):
     assert r.returncode == 2
     r = run("reduce", BS23, f"g[y]^{MAX_EDGE_LENGTH + 1}")
     assert r.returncode == 2, r.stdout
+    assert "edge-length cap" in r.stderr and "Traceback" not in r.stderr
+    r = run("reduce", BS23, "*".join([f"g[y]^{MAX_EDGE_LENGTH}"] * 20))
+    assert r.returncode == 2 and r.stdout == ""
     assert "edge-length cap" in r.stderr and "Traceback" not in r.stderr
     r = run("reduce", BS23, "g[y]^2^3")
     assert r.returncode == 2, r.stdout

@@ -76,6 +76,12 @@ def test_graph_constructor_checks():
         (["P"], [("y", "Q", "P", 1, 2)], "unknown origin vertex 'Q'"),
         (["P"], [("y", "P", "Q", 1, 2)], "unknown terminus vertex 'Q'"),
         (["P"], [("y", "P", "P", 0, 2)], "edge 'y': alpha must be nonzero"),
+        # names are identifiers, as parse_graph demands: exports print them
+        # unquoted, so a quote or a backslash would break their strings
+        (['P"'], [], "bad identifier 'P\"'"),
+        (["P", 1], [], "bad identifier 1"),
+        (["P"], [("y\\", "P", "P", 1, 2)], r"bad identifier 'y\\\\'"),
+        (["P"], [("~y", "P", "P", 1, 2)], "bad identifier '~y'"),
     ]
     for vertices, edges, message in cases:
         with pytest.raises(GraphError, match=message):

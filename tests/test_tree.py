@@ -14,7 +14,7 @@ from gbs.words import GbsGroup
 from gbs.words import WordError, closed_words, path_string, random_closed_word
 
 from conftest import bs_text, random_graph_text
-from oracles import tree_degrees, tree_depths
+from oracles import tree_degrees, tree_depths, tree_json_dict
 
 
 def test_ball_radius_zero(bs23):
@@ -315,12 +315,34 @@ def test_exports(bs23):
     dot = b.to_dot()
     assert dot.startswith("graph ball {") and dot.rstrip().endswith("}")
     assert dot.count(" -- ") == len(b.edges)
-    d = b.to_json_dict()
-    json.dumps(d)
+    d = json.loads(b.to_json())
     assert d["radius"] == 1
     assert len(d["vertices"]) == 6
     assert len(d["edges"]) == 5
     assert {v["frontier"] for v in d["vertices"]} == {True, False}
+
+
+def _export_cases(fixtures, seed):
+    """(group, radius): the four fixtures at radii 0-4, and 20 seeded
+    random graphs, each at the largest radius up to 3 whose ball has at
+    most 2,000 vertices."""
+    rng = random.Random(seed)
+    cases = [(g, r) for g in fixtures for r in range(5)]
+    for _ in range(20):
+        group = GbsGroup.from_text(random_graph_text(rng))
+        sizes = itertools.accumulate(
+            itertools.islice(tree.layer_sizes(group), 4))
+        cases.append((group, max(r for r, n in enumerate(sizes) if n <= 2000)))
+    return cases
+
+
+def test_to_json_matches_oracle(bs23, gbs2, two_vertex, chain3):
+    """The hand-written JSON is ``json.dumps`` of the rows, keys printed by
+    ``path_string`` and depths counted over the edges, plus a newline."""
+    for group, r in _export_cases((bs23, gbs2, two_vertex, chain3), 34):
+        b = tree.ball(group, r)
+        assert b.to_json() == json.dumps(tree_json_dict(b)) + "\n", \
+            (group.graph.vertices, r)
 
 
 def test_exports_match_vertex_oracles(bs23, gbs2, two_vertex, chain3):
@@ -330,21 +352,13 @@ def test_exports_match_vertex_oracles(bs23, gbs2, two_vertex, chain3):
     label "<type> | <key>": on the four fixtures at radii 0-4 and on 20
     seeded random graphs, each at the largest radius up to 3 whose ball has
     at most 2,000 vertices."""
-    rng = random.Random(31)
-    cases = [(g, r) for g in (bs23, gbs2, two_vertex, chain3)
-             for r in range(5)]
-    for _ in range(20):
-        group = GbsGroup.from_text(random_graph_text(rng))
-        sizes = itertools.accumulate(
-            itertools.islice(tree.layer_sizes(group), 4))
-        cases.append((group, max(r for r, n in enumerate(sizes) if n <= 2000)))
-    for group, r in cases:
+    for group, r in _export_cases((bs23, gbs2, two_vertex, chain3), 31):
         graph = group.graph
         b = tree.ball(group, r)
         depths = tree_depths(b)
         assert [len(v.key) for v in b.vertices] == \
             [2 * d + 1 for d in depths], (graph.vertices, r)
-        rows = b.to_json_dict()["vertices"]
+        rows = json.loads(b.to_json())["vertices"]
         labels = re.findall(r'^  v(\d+) \[label="(.*)"\];$', b.to_dot(), re.M)
         assert len(rows) == len(labels) == len(b.vertices)
         for i, (v, row, label) in enumerate(zip(b.vertices, rows, labels)):

@@ -10,7 +10,7 @@ from gbs.words import (MAX_EDGE_LENGTH, GbsGroup, WordError, closed_words,
                        random_closed_word)
 
 from conftest import random_graph_text
-from oracles import insert_pinch
+from oracles import from_string_by_factors, insert_pinch
 
 
 def test_reduce_defining_relation(bs23):
@@ -118,6 +118,78 @@ def test_power_cap(bs23, gbs2):
             group.from_string(text)
     with pytest.raises(WordError, match="exponent too long"):
         bs23.from_string("a[P]^" + "9" * 5000)
+    # the cap is on the whole word: each factor below it, their sum above
+    half = f"g[y]^{cap // 2}"
+    assert bs23.from_string(f"{half}*{half}").edge_length == cap
+    # a_Q^2 = a_P^3, so an odd power of a[Q] keeps its two letters
+    assert gbs2.from_string("*".join(["a[Q]"] * (cap // 2 - 1))).edge_length \
+        == 2
+    for group, text in ((bs23, f"{half}*{half}*g[y]"),
+                        (bs23, "*".join([f"g[y]^{cap}"] * 20)),
+                        (gbs2, "*".join(["a[Q]"] * (cap // 2 + 1)))):
+        with pytest.raises(WordError, match="edge-length cap"):
+            group.from_string(text)
+    # a tree edge's generator is trivial: its powers have no letters
+    assert gbs2.from_string(f"g[w]^{10 ** 30}*g[y]^{cap // 2}").edge_length \
+        == cap
+
+
+def _random_word_text(rng, graph):
+    """A text in the word grammar: 1-6 factors over the graph's generators
+    and '1', with no exponent, a small one of either sign, or (on a[P])
+    +-10^30; about a third of the texts get one character inserted,
+    deleted or replaced, most of which makes them invalid."""
+    factors = []
+    for _ in range(rng.randint(1, 6)):
+        c = rng.random()
+        if c < 0.4 or not graph.edge_names:
+            atom = f"a[{rng.choice(graph.vertices)}]"
+        elif c < 0.9:
+            atom = f"g[{rng.choice(['', '~'])}{rng.choice(graph.edge_names)}]"
+        else:
+            atom = "1"
+        p = rng.random()
+        if p < 0.6:
+            atom += f"^{rng.randint(-40, 40)}"
+        elif p < 0.7 and atom.startswith("a"):
+            atom += f"^{rng.choice([10 ** 30, -10 ** 30])}"
+        factors.append(atom)
+    text = rng.choice(["*", " * "]).join(factors)
+    if rng.random() < 0.35:
+        i = rng.randrange(len(text) + 1)
+        ch = rng.choice("*^[]~1-2aPgyZ ")
+        text = rng.choice([text[:i] + ch + text[i:], text[:i] + text[i + 1:],
+                           text[:i] + ch + text[i + 1:]])
+    return text
+
+
+def test_from_string_matches_factor_products(bs23, gbs2, two_vertex, chain3):
+    """One canonicalisation of the joined factors gives the element that
+    multiplying the factors one by one gives, and an invalid text raises
+    the same error, on seeded texts over the fixtures and 20 random graphs
+    (none near the edge-length cap)."""
+    rng = random.Random(34)
+    groups = [bs23, gbs2, two_vertex, chain3]
+    groups += [GbsGroup.from_text(random_graph_text(rng)) for _ in range(20)]
+    texts = [(bs23, f"g[y]^-3*1*a[P]^{10 ** 30}*g[~y]^2*1^5"),
+             (gbs2, f"a[Q]^7*g[w]^{10 ** 30}*a[Q]^-2*g[~y]^-4*a[P]"),
+             (chain3, "a[R]^-5*g[~w2]*a[Q]^3")]
+    texts += [(g, _random_word_text(rng, g.graph))
+              for g in groups for _ in range(150)]
+
+    def outcome(parse, group, text):
+        try:
+            return parse(text).items
+        except (WordError, GraphError) as exc:
+            return type(exc), str(exc)
+
+    valid = 0
+    for group, text in texts:
+        got = outcome(group.from_string, group, text)
+        assert got == outcome(lambda t: from_string_by_factors(group, t),
+                              group, text), (group.graph.vertices, text)
+        valid += isinstance(got, tuple) and isinstance(got[0], int)
+    assert 1500 < valid < len(texts) - 500
 
 
 def test_length_and_signs(bs23):
