@@ -7,13 +7,11 @@ experiments.
 """
 
 from gbs.graphs import (
-    Decomposition,
     GbsGraph,
     GraphError,
     ParseError,
     SpanningData,
     compute_spanning_tree,
-    decompose,
     parse_graph,
 )
 from gbs.words import GbsGroup, GroupElement, WordError
@@ -22,7 +20,6 @@ from gbs.wordcore import backend as kernel_backend
 __version__ = "0.1.0"
 
 __all__ = [
-    "Decomposition",
     "GbsGraph",
     "GbsGroup",
     "GraphError",
@@ -31,7 +28,6 @@ __all__ = [
     "SpanningData",
     "WordError",
     "compute_spanning_tree",
-    "decompose",
     "kernel_backend",
     "parse_graph",
     "__version__",

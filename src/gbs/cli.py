@@ -139,8 +139,6 @@ def _dispatch(args) -> int:
             m_values = [int(s) for s in args.m.split(",") if s]
         except ValueError:
             raise opsim.OpsimError(f"bad m list {args.m!r}") from None
-        if not m_values or any(m <= 0 for m in m_values):
-            raise opsim.OpsimError(f"bad m list {args.m!r}")
         e = graph.edge_id(args.edge)
         a = group.vertex_generator(graph.terminus[e])
         t = group.edge_generator(e)

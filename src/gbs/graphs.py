@@ -205,6 +205,14 @@ _EDGE_RE = re.compile(
     r"edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s+alpha\s+(-?\d+)\s+(-?\d+)\s*\Z")
 
 
+def _resolve(resolve, name, lineno):
+    """``resolve(name)``, an unknown name reported at ``lineno``."""
+    try:
+        return resolve(name)
+    except GraphError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
 def parse_graph(text: str):
     """Parse the text format.  Returns ``(GbsGraph, SpanningData)``."""
     vertices = []
@@ -212,7 +220,7 @@ def parse_graph(text: str):
     tree_names = []
     tree_declared = False
     tree_line = None
-    base_name = None
+    base_name = base_line = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,14 +252,14 @@ def parse_graph(text: str):
                 raise ParseError("alpha must be nonzero", lineno)
             edges.append((name, o, t, af, ab))
         elif head == "tree":
-            tree_names.extend(line.split()[1:])
+            tree_names.extend((name, lineno) for name in line.split()[1:])
             tree_declared = True
             tree_line = lineno
         elif head == "base":
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected: base <vertex-id>", lineno)
-            base_name = parts[1]
+            base_name, base_line = parts[1], lineno
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
 
@@ -263,12 +271,12 @@ def parse_graph(text: str):
     if base_name is None:
         base = 0
     else:
-        base = graph.vertex_id(base_name)
+        base = _resolve(graph.vertex_id, base_name, base_line)
 
     if tree_declared:
         tree = set()
-        for name in tree_names:
-            e = graph.edge_id(name)
+        for name, lineno in tree_names:
+            e = _resolve(graph.edge_id, name, lineno)
             tree.add(e)
             tree.add(e ^ 1)
         pairs = len(tree) // 2
@@ -284,31 +292,3 @@ def parse_graph(text: str):
 
     return graph, SpanningData(tree_edges=tree_edges, base=base)
 
-
-class Decomposition(NamedTuple):
-    """Removing one edge pair splits the fundamental group as an HNN
-    extension (graph stays connected) or an amalgam (it falls apart)."""
-
-    kind: str                 # "hnn" | "amalgam"
-    edge_pair: tuple          # (e, bar e)
-    components: tuple         # one or two (vertex_set, edge_set) pairs
-
-    HNN = "hnn"
-    AMALGAM = "amalgam"
-
-
-def decompose(graph: GbsGraph, edge) -> Decomposition:
-    """Classify the removal of ``edge``'s pair, per the subgraph lemma."""
-    e = graph.edge_id(edge)
-    rest = frozenset(x for x in range(graph.n_edges) if x // 2 != e // 2)
-
-    def component(start):
-        vs = frozenset(paths_from(graph, start, rest))
-        return vs, frozenset(x for v in vs for x in graph.edges_from(v)
-                             if x in rest)
-
-    side_o = component(graph.origin[e])
-    if graph.terminus[e] in side_o[0]:
-        return Decomposition(Decomposition.HNN, (e, e ^ 1), (side_o,))
-    side_t = component(graph.terminus[e])
-    return Decomposition(Decomposition.AMALGAM, (e, e ^ 1), (side_o, side_t))

@@ -440,12 +440,12 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
                             radius: int, seed: int = 42,
                             tol: float = 1e-6) -> DecayTable:
     """Averaging-norm decay: for each m, conjugate f by z_1..z_m and compare
-    the truncated norm of the average against (2/sqrt(m)) ||f||_est.  A
-    ball on which f's operator is zero raises OpsimError, and so does an m
-    whose conjugators pass ``MAX_CONJUGATOR_LETTERS``, before the ball is
-    built or ``averaging_elements`` called: z_j = r1^(j-1) z_1 has no
-    cancellation, so z_1 .. z_m have m len(z_1) + len(r1) m (m - 1) / 2
-    letters."""
+    the truncated norm of the average against (2/sqrt(m)) ||f||_est.  An
+    empty m list, an m < 1 and an m whose conjugators pass
+    ``MAX_CONJUGATOR_LETTERS`` raise OpsimError before the ball is built or
+    ``averaging_elements`` called (z_j = r1^(j-1) z_1 has no cancellation,
+    so z_1 .. z_m have m len(z_1) + len(r1) m (m - 1) / 2 letters); so does
+    a ball on which f's operator is zero."""
     group = data.group
     _check_tol(tol)
     _check_seed(seed)
@@ -459,7 +459,9 @@ def powers_decay_experiment(data: Ce2Data, f: FormalElement, m_values,
             raise OpsimError(
                 "support exceeds the y-length budget L of the conjugators")
     m_values = list(m_values)
-    top = max(m_values, default=0)
+    if not m_values or min(m_values) < 1:
+        raise OpsimError(f"bad m list {m_values!r}")
+    top = max(m_values)
     first = data.z[0].edge_length
     step = data.r1.edge_length
     letters = top * first + step * top * (top - 1) // 2

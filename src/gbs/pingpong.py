@@ -99,6 +99,8 @@ def check_search(group: GbsGroup, L: int, word_bound: int,
 
 def averaging_elements(data: Ce2Data, count: int):
     """z_1 .. z_count; extends past the stored ones by z_{j+1} = r1 z_j."""
+    if count < 0:
+        raise PingPongError(f"count must be nonnegative, got {count}")
     out = list(data.z[:count])
     while len(out) < count:
         out.append(data.r1 * out[-1])

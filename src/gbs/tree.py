@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from gbs import wordcore
-from gbs.graphs import Decomposition, GraphError, decompose, paths_from
-from gbs.words import GbsGroup, GroupElement, WordError, path_items
+from gbs.graphs import GraphError
+from gbs.words import GbsGroup, GroupElement, WordError
 
 
 # Caps on one ``ball``: about 1 KB per vertex once exported.
@@ -197,8 +197,11 @@ def ball(group: GbsGroup, radius: int) -> TreeBall:
 
 
 def moved_vertex(group: GbsGroup, g: GroupElement, max_radius: int):
-    """First tree vertex moved by g, lazy BFS.  Errors on the identity, and
-    raises SearchExhausted when no moved vertex shows up within the radius."""
+    """First tree vertex moved by g, lazy BFS.  Errors on a negative radius
+    and on the identity, and raises SearchExhausted when no moved vertex
+    shows up within the radius."""
+    if max_radius < 0:
+        raise GraphError("radius must be nonnegative")
     if g.is_identity():
         raise WordError("the identity moves no vertex")
     for v, *_ in _bfs(group, max_radius):
@@ -207,69 +210,3 @@ def moved_vertex(group: GbsGroup, g: GroupElement, max_radius: int):
     raise SearchExhausted(
         f"no moved vertex within radius {max_radius}")
 
-
-def _avoiding_geodesics(group: GbsGroup, e: int):
-    """Zero-exponent base geodesics through the BFS subtree of the graph
-    without e's pair; ``stabilizer_cover`` calls it only for an HNN edge,
-    whose removal keeps the graph connected."""
-    graph = group.graph
-    paths = paths_from(graph, group.base,
-                       {x for x in range(graph.n_edges) if x // 2 != e // 2})
-    return {v: path_items(path) for v, path in paths.items()}
-
-
-def _stable_through(group: GbsGroup, e: int, paths) -> GroupElement:
-    """The edge generator of ``e`` taken through the subtree of ``paths``."""
-    graph = group.graph
-    items = list(paths[graph.origin[e]])
-    items.append(e)
-    items.extend(wordcore.inv_items(paths[graph.terminus[e]]))
-    return group.element(items)
-
-
-def _transporter(group: GbsGroup, paths, vertex: int) -> GroupElement:
-    """Closed word moving the avoiding-subtree embedding of the vertex
-    group at ``vertex`` onto the spanning-tree embedding."""
-    items = list(paths[vertex])
-    back = wordcore.inv_items(group.geodesic_items(vertex))
-    items[-1] += back[0]
-    items.extend(back[1:])
-    return group.element(items)
-
-
-def stabilizer_cover(group: GbsGroup, g: GroupElement, edge):
-    """Two origin-type tree vertices whose joint stabilizer is contained in
-    the stabilizer of g G_{t(edge)}.
-
-    HNN branch (removal keeps the graph connected): {g G_P, g s^-1 G_P}
-    with s the stable letter of the splitting at the edge.  When the edge
-    lies in the spanning tree the splitting is written through a different
-    maximal subtree, so the vertices pick up the tree-change transporters
-    of the two endpoint groups.  Amalgam branch: {g G_P, g a_Q G_P}; needs
-    |alpha(edge)| >= 2 so a_Q witnesses G_Q minus the edge subgroup.
-    """
-    graph = group.graph
-    e = graph.edge_id(edge)
-    p = graph.origin[e]
-    pcoset = coset_vertex(group, group.geodesic_items(p), p)
-    dec = decompose(graph, e)
-    if dec.kind == Decomposition.HNN:
-        if e not in group.spanning.tree_edges:
-            first = act(group, g, pcoset)
-            second = act(group, g * group.edge_generator(e).inverse(), pcoset)
-        else:
-            paths = _avoiding_geodesics(group, e)
-            s = _stable_through(group, e, paths)
-            sigma = _transporter(group, paths, p)
-            tau = _transporter(group, paths, graph.terminus[e])
-            left = g * tau.inverse()
-            first = act(group, left * sigma, pcoset)
-            second = act(group, left * s.inverse() * sigma, pcoset)
-    else:
-        if abs(graph.alpha[e]) < 2:
-            raise GraphError(
-                "amalgam branch needs a proper edge subgroup at the terminus")
-        b = group.vertex_generator(graph.terminus[e])
-        first = act(group, g, pcoset)
-        second = act(group, g * b, pcoset)
-    return [first, second]

@@ -182,9 +182,10 @@ def test_exit_codes(tmp_path):
             "--exp-bound", "0")
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "gbs: no g outside <a^9> within the bounds\n"
-    r = run("normest", BS23, "--edge", "y", "--radius", "2", "--m", "4,x")
-    assert r.returncode == 2
-    assert "bad m list" in r.stderr and "Traceback" not in r.stderr
+    for m_list in ("4,x", ",", "-3", "4,0"):
+        r = run("normest", BS23, "--edge", "y", "--radius", "2", "--m", m_list)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "bad m list" in r.stderr and "Traceback" not in r.stderr
     for tol in ("0", "-1", "nan"):
         r = run("normest", BS23, "--edge", "y", "--radius", "2", "--tol", tol)
         assert r.returncode == 2, r.stdout

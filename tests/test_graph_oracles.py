@@ -1,4 +1,4 @@
-"""The BFS helper, spanning trees, decompositions and the name resolver
+"""The BFS helper, spanning trees and the name resolver
 against brute-force oracles on seeded random graphs."""
 
 import itertools
@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbs.graphs import (Decomposition, GraphError, SpanningData,
-                        compute_spanning_tree, decompose, paths_from,
-                        parse_graph)
+from gbs.graphs import (GraphError, SpanningData, compute_spanning_tree,
+                        paths_from, parse_graph)
 from gbs import indices, wordcore
 from gbs.indices import (TheoremVerdict, big_N, check_theorem, index_report,
                          modular_value)
@@ -105,41 +104,6 @@ def test_path_lengths_match_floyd_warshall():
                 v: tree[s][v] for v in range(graph.n_vertices)}
 
 
-def _union_find_components(graph, skip_pair):
-    parent = list(range(graph.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for e in range(graph.n_edges):
-        if e // 2 != skip_pair:
-            parent[find(graph.origin[e])] = find(graph.terminus[e])
-    comps = {}
-    for v in range(graph.n_vertices):
-        comps.setdefault(find(v), set()).add(v)
-    return {frozenset(c) for c in comps.values()}
-
-
-def test_decompose_matches_union_find():
-    kinds = set()
-    for _, graph, _ in _graphs():
-        for e in range(graph.n_edges):
-            dec = decompose(graph, e)
-            comps = _union_find_components(graph, e // 2)
-            kinds.add(dec.kind)
-            assert dec.edge_pair == (e, e ^ 1)
-            assert dec.kind == (Decomposition.HNN if len(comps) == 1
-                                else Decomposition.AMALGAM)
-            assert {vs for vs, _ in dec.components} == comps
-            assert graph.origin[e] in dec.components[0][0]
-            for vs, es in dec.components:
-                assert es == {x for x in range(graph.n_edges)
-                              if x // 2 != e // 2 and graph.origin[x] in vs}
-    assert kinds == {Decomposition.HNN, Decomposition.AMALGAM}
-
-
 def test_resolver_names_and_indices():
     for _, graph, _ in _graphs(count=20):
         for e in range(graph.n_edges):
@@ -151,8 +115,6 @@ def test_resolver_names_and_indices():
         for bad in (-1, graph.n_edges, graph.n_edges + 5):
             with pytest.raises(GraphError, match="unknown edge index"):
                 graph.edge_id(bad)
-            with pytest.raises(GraphError, match="unknown edge index"):
-                decompose(graph, bad)
         for bad in (-1, graph.n_vertices):
             with pytest.raises(GraphError, match="unknown vertex index"):
                 graph.vertex_id(bad)

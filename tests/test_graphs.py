@@ -1,7 +1,7 @@
 import pytest
 
-from gbs.graphs import (Decomposition, GbsGraph, GraphError, ParseError,
-                        compute_spanning_tree, decompose, parse_graph)
+from gbs.graphs import (GbsGraph, GraphError, ParseError, compute_spanning_tree,
+                        parse_graph)
 
 from conftest import BS23_TEXT, CHAIN3_TEXT, FIXTURES, GBS2_TEXT, TWO_VERTEX_TEXT
 
@@ -96,6 +96,9 @@ def test_parse_line_checks():
         ("vertex 1P\n", "line 1: bad identifier '1P'"),
         ("vertex P\nedge 9y : P -> P alpha 1 2\n",
          "line 2: bad identifier '9y'"),
+        ("vertex P\nbase Q\n", "line 2: unknown vertex 'Q'"),
+        ("vertex P\nvertex Q\nedge w : P -> Q alpha 2 3\ntree w\ntree z\n",
+         "line 5: unknown edge 'z'"),
         # two of the three pairs, as a maximal tree needs, but a cycle on P, Q
         ("vertex P\nvertex Q\nvertex R\nedge w : P -> Q alpha 2 3\n"
          "edge u : P -> Q alpha 2 3\nedge v : Q -> R alpha 2 3\ntree w u\n",
@@ -136,57 +139,15 @@ def test_spanning_tree_shape():
         assert len(seen) == graph.n_vertices
 
 
-def test_decompose_bs23_loop_is_hnn():
-    graph, _ = parse_graph(BS23_TEXT)
-    dec = decompose(graph, "y")
-    assert dec.kind == Decomposition.HNN
-    assert len(dec.components) == 1
-    assert dec.components[0][0] == frozenset({0})
-    assert dec.components[0][1] == frozenset()
-
-
-def test_decompose_gbs2_tree_edge_is_hnn():
-    # removing {w, ~w} leaves the y pair joining P and Q
-    graph, _ = parse_graph(GBS2_TEXT)
-    dec = decompose(graph, "w")
-    assert dec.kind == Decomposition.HNN
-
-
-def test_decompose_two_vertex_is_amalgam():
-    graph, _ = parse_graph(TWO_VERTEX_TEXT)
-    dec = decompose(graph, "w")
-    assert dec.kind == Decomposition.AMALGAM
-    sides = {frozenset(graph.vertices[v] for v in comp[0])
-             for comp in dec.components}
-    assert sides == {frozenset({"P"}), frozenset({"Q"})}
-
-
-def test_decompose_matches_connectivity_traversal():
-    for text in (BS23_TEXT, GBS2_TEXT, TWO_VERTEX_TEXT, CHAIN3_TEXT):
-        graph, _ = parse_graph(text)
-        for e in range(graph.n_edges):
-            dec = decompose(graph, e)
-            # independent oracle: union-find over the remaining edges
-            parent = list(range(graph.n_vertices))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for x in range(graph.n_edges):
-                if x // 2 != e // 2:
-                    a, b = find(graph.origin[x]), find(graph.terminus[x])
-                    parent[a] = b
-            n_comp = len({find(v) for v in range(graph.n_vertices)})
-            expected = Decomposition.HNN if n_comp == 1 else Decomposition.AMALGAM
-            assert dec.kind == expected
-            total_vertices = sum(len(c[0]) for c in dec.components)
-            assert total_vertices == graph.n_vertices
-
-
 def test_unknown_edge():
     graph, _ = parse_graph(BS23_TEXT)
     with pytest.raises(GraphError, match="unknown edge"):
-        decompose(graph, "z")
+        graph.edge_id("z")
+
+
+def test_package_exports_resolve():
+    import gbs
+    assert [name for name in gbs.__all__ if not hasattr(gbs, name)] == []
+    namespace = {}
+    exec("from gbs import *", namespace)
+    assert set(gbs.__all__) <= set(namespace)

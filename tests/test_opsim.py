@@ -651,6 +651,27 @@ def test_decay_preconditions(bs23):
         opsim.powers_decay_experiment(data, lam(h) + lam(h.inverse()), [4], 3)
 
 
+def test_decay_refuses_bad_m_lists(bs23, monkeypatch):
+    """An empty m list or an m < 1 is refused before the ball is built or a
+    conjugator formed; a negative count of conjugators is refused."""
+    t = bs23.edge_generator("y")
+    g = t * bs23.vertex_generator("P") * t.inverse()
+    f = lam(g) + lam(g.inverse())
+    data = pingpong.build_ce2(bs23, "y", 2)
+    with pytest.raises(pingpong.PingPongError, match="nonnegative"):
+        pingpong.averaging_elements(data, -2)
+    assert pingpong.averaging_elements(data, 0) == []
+
+    def never(*args):
+        raise AssertionError("reached past the m check")
+
+    monkeypatch.setattr(opsim, "enumerate_ball", never)
+    monkeypatch.setattr(opsim, "averaging_elements", never)
+    for m_values in ([], [-3], [-1, 4], [4, 0]):
+        with pytest.raises(opsim.OpsimError, match="bad m list"):
+            opsim.powers_decay_experiment(data, f, m_values, 2)
+
+
 def test_negative_seed_rejected(bs23):
     t = bs23.edge_generator("y")
     g = t * bs23.vertex_generator("P") * t.inverse()

@@ -11,7 +11,7 @@ import pytest
 from gbs import tree, wordcore
 from gbs.graphs import GraphError
 from gbs.words import GbsGroup
-from gbs.words import WordError, closed_words, path_string, random_closed_word
+from gbs.words import WordError, path_string, random_closed_word
 
 from conftest import bs_text, random_graph_text
 from oracles import tree_degrees, tree_depths, tree_json_dict
@@ -231,6 +231,12 @@ def test_moved_vertex_exhaustion_reported(bs23):
         tree.moved_vertex(bs23, a ** 6, 1)     # a^6 fixes the radius-1 ball
 
 
+def test_moved_vertex_negative_radius(bs23):
+    t = bs23.edge_generator("y")
+    with pytest.raises(GraphError, match="radius must be nonnegative"):
+        tree.moved_vertex(bs23, t, -1)
+
+
 def test_faithfulness_random_words(bs23, gbs2):
     rng = random.Random(53)
     for group in (bs23, gbs2):
@@ -239,75 +245,6 @@ def test_faithfulness_random_words(bs23, gbs2):
             v, d = tree.moved_vertex(group, g, 2 * g.edge_length + 2)
             assert d <= 2 * g.edge_length + 2
             _assert_bfs_depth(group, v, d)
-
-
-def _joint_stabilizer_implies(group, cover, target, words):
-    joint = 0
-    for h in words:
-        if all(tree.stabilizes(group, h, v) for v in cover):
-            joint += 1
-            assert tree.stabilizes(group, h, target)
-    return joint
-
-
-def test_stabilizer_cover_hnn_loop(bs23):
-    e = bs23.identity()
-    cover = tree.stabilizer_cover(bs23, e, "y")
-    t = bs23.edge_generator("y")
-    p = tree.base_vertex(bs23)
-    assert cover[0] == p
-    assert cover[1] == tree.act(bs23, t.inverse(), p)
-    words = [bs23.element(list(it)) for it in closed_words(bs23, 4, 3)]
-    assert _joint_stabilizer_implies(bs23, cover, p, words) > 1
-
-
-def test_stabilizer_cover_amalgam(two_vertex):
-    e = two_vertex.identity()
-    cover = tree.stabilizer_cover(two_vertex, e, "w")
-    p = tree.base_vertex(two_vertex)
-    b = two_vertex.vertex_generator("Q")
-    assert cover[0] == p
-    assert cover[1] == tree.act(two_vertex, b, p)
-    q = two_vertex.graph.vertex_id("Q")
-    target = tree.coset_vertex(two_vertex, two_vertex.geodesic_items(q), q)
-    words = [two_vertex.element(list(it)) for it in closed_words(two_vertex, 4, 3)]
-    assert _joint_stabilizer_implies(two_vertex, cover, target, words) > 1
-
-
-def test_stabilizer_cover_amalgam_needs_proper_subgroup():
-    group = GbsGroup.from_text("vertex P\nvertex Q\nedge w : P -> Q alpha 1 3\n")
-    with pytest.raises(GraphError, match="amalgam branch needs a proper edge"):
-        tree.stabilizer_cover(group, group.identity(), "w")
-
-
-def _vertex_group_power(group, v, k):
-    """h a^k h^-1, a^k the k-th power of the vertex generator of v = h G."""
-    rep = list(v.key)
-    return group.element(rep[:-1] + [k] + wordcore.inv_items(rep)[1:])
-
-
-def test_stabilizer_cover_gbs2_tree_edge(gbs2):
-    g = gbs2.edge_generator("y")
-    cover = tree.stabilizer_cover(gbs2, g, "w")
-    q = gbs2.graph.vertex_id("Q")
-    target = tree.act(gbs2, g,
-                      tree.coset_vertex(gbs2, gbs2.geodesic_items(q), q))
-    words = [gbs2.element(list(it)) for it in closed_words(gbs2, 4, 3)]
-    assert _joint_stabilizer_implies(gbs2, cover, target, words) >= 1
-    # The joint stabilizer lies in the cyclic stabilizer of each cover vertex,
-    # so the least power of that vertex group that fixes the other vertex
-    # generates it.  Its members: products of powers of both generators.
-    gens = []
-    for v, other in (cover, cover[::-1]):
-        k = next(k for k in range(1, 100) if tree.stabilizes(
-            gbs2, _vertex_group_power(gbs2, v, k), other))
-        gens.append(_vertex_group_power(gbs2, v, k))
-    members = {gens[0] ** i * gens[1] ** j
-               for i in range(-5, 6) for j in range(-5, 6)}
-    members.discard(gbs2.identity())
-    assert len(members) >= 20
-    assert (_joint_stabilizer_implies(gbs2, cover, target, members)
-            == len(members))
 
 
 def test_exports(bs23):
